@@ -151,9 +151,9 @@ def _classify_reply(request: ScheduleRequest,
 
 
 def _config(workdir: Path, **overrides: Any) -> ServiceConfig:
-    """A chaos-friendly service config (ephemeral port, small windows)."""
+    """A chaos-friendly service config (ephemeral port, small batches)."""
     defaults: Dict[str, Any] = dict(
-        port=0, workers=2, max_batch=8, batch_window=0.01,
+        port=0, workers=2, max_batch=8,
         request_deadline=20.0, max_redispatch=2,
         breaker=BreakerConfig(failure_threshold=8, reset_timeout=2.0),
     )

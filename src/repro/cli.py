@@ -736,8 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 64)")
     p.add_argument("--max-batch", type=int, default=16,
                    help="micro-batch size cap (default: 16)")
-    p.add_argument("--batch-window", type=float, default=0.02,
-                   help="seconds the batcher waits to fill (default: 0.02)")
+    p.add_argument("--batch-window", type=float, default=0.0,
+                   help="seconds to hold each batch open for late arrivals; "
+                        "0 dispatches the backlog as soon as a slot is free "
+                        "(default: 0)")
     p.add_argument("--store-ttl", type=float, default=300.0,
                    help="result-store TTL in seconds, 0 disables expiry "
                         "(default: 300)")

@@ -105,13 +105,17 @@ class ExperimentSetup:
         values = parallel_map(_mapping_saturation, jobs, workers=workers)
         return {r.name: v for r, v in zip(records, values)}
 
-    def load_ladder(self, config: SimulationConfig, n: int = 9) -> List[float]:
+    def load_ladder(self, config: SimulationConfig, n: int = 9, *,
+                    op: Optional[MappingRecord] = None) -> List[float]:
         """S1…S9 rates: up to ~1.3× the OP mapping's saturation rate.
 
         Using the OP mapping to place S9 guarantees every random mapping is
         deep in saturation at the top of the ladder, like the paper's plots.
+        Pass ``op`` when the caller already holds :meth:`op_mapping` to
+        skip a second Tabu search.
         """
-        op = self.op_mapping()
+        if op is None:
+            op = self.op_mapping()
         traffic = IntraClusterTraffic(op.mapping)
         sat = find_saturation_rate(self.routing_table, traffic, config)
         return make_load_points(1.3 * sat["rate"], n=n)

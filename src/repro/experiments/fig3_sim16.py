@@ -88,7 +88,7 @@ def run_sim_figure(
         randoms = setup.random_mappings(num_random)
         mappings = [op] + randoms
 
-        rates = setup.load_ladder(config, n=num_points)
+        rates = setup.load_ladder(config, n=num_points, op=op)
         sweeps = {}
         for m in mappings:
             with _trace.span("figure.sweep", mapping=m.name, c_c=m.c_c):

@@ -437,7 +437,8 @@ def run_variation_study(
         if spec.max_rate is not None:
             rates = make_load_points(spec.max_rate, n=spec.num_rates)
         else:
-            rates = setup.load_ladder(config, n=spec.num_rates)
+            rates = setup.load_ladder(config, n=spec.num_rates,
+                                      op=mappings[0])
         tables, gaps = _fault_tables(spec, setup)
 
         records: List[VariationRecord] = []

@@ -15,8 +15,9 @@ Layers (one module each):
   integrity digests (corruption degrades to a recompute, never a wrong
   reply);
 - :mod:`~repro.service.queue` — admission policy, backpressure,
-  priority-aware load shedding, the bounded priority queue with the
-  micro-batching window;
+  priority-aware load shedding, the bounded priority queue with
+  work-conserving batch dispatch (an optional hold collects late
+  arrivals);
 - :mod:`~repro.service.batch` — batch planning by topology fingerprint
   and the pure worker-side executor;
 - :mod:`~repro.service.supervisor` — deadlines, worker restart and

@@ -11,10 +11,12 @@ Two failure modes are deliberately distinct:
 
 The queue is a bounded max-priority heap (higher ``priority`` first, FIFO
 within a priority) exposed through asyncio; :meth:`JobQueue.get_batch`
-implements the micro-batching window — pop one job, then keep draining
-until either ``max_batch`` jobs are in hand or ``window`` seconds passed
-without the batch filling.  Queue depth is published as the
-``service.queue.depth`` gauge on every transition.
+is work-conserving — it waits for one job, then takes whatever is already
+queued (up to ``max_batch``) and returns without arming a timer, so
+batches form only from a real backlog.  A positive ``window`` is an
+explicit hold that also collects arrivals for that many seconds.  Queue
+depth is published as the ``service.queue.depth`` gauge on every
+transition.
 
 Under overload the queue can also *shed*: when a higher-priority request
 arrives at a full queue, the lowest-priority (youngest-within-priority)
@@ -119,6 +121,8 @@ class Job:
     fingerprint: str
     future: "asyncio.Future" = field(repr=False)
     priority: int = 0
+    # Resolves once the WAL accept record is durable; None without a WAL.
+    accepted: Optional["asyncio.Future"] = field(default=None, repr=False)
 
 
 class JobQueue:
@@ -206,31 +210,32 @@ class JobQueue:
         return job
 
     async def get_batch(self, max_batch: int, window: float) -> List[Job]:
-        """Pop one job, then drain up to ``max_batch`` within ``window`` s.
+        """Pop one job plus whatever is already queued, up to ``max_batch``.
 
-        The first pop waits indefinitely (an idle service parks here);
-        once a job arrives, whatever else shows up inside the batching
-        window rides along.  ``max_batch=1`` or ``window<=0`` degrade to
-        plain one-at-a-time dispatch.
+        The first pop waits indefinitely (an idle service parks here).
+        Dispatch is work-conserving: with ``window<=0`` the batch is the
+        backlog at that instant and no timer is armed, so a batch grows
+        past one job only while the consumer was too busy to pop.  A
+        positive ``window`` is an explicit hold: late arrivals within
+        ``window`` seconds of the first pop ride along.
         """
         batch = [await self.get()]
-        if max_batch <= 1:
-            return batch
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + max(0.0, window)
-        while len(batch) < max_batch:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                # Window over: take only what is already queued.
-                try:
-                    batch.append(self.get_nowait())
-                except asyncio.QueueEmpty:
+        if window > 0:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + window
+            while len(batch) < max_batch:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
                     break
-            else:
                 try:
                     batch.append(await asyncio.wait_for(self.get(), remaining))
                 except asyncio.TimeoutError:
                     break
+        while len(batch) < max_batch:
+            try:
+                batch.append(self.get_nowait())
+            except asyncio.QueueEmpty:
+                break
         return batch
 
     def get_nowait(self) -> Job:

@@ -8,8 +8,8 @@ Request lifecycle::
         │ admission check ──────────▶ reject ("rejected")
         │ queue.put_nowait ─────────▶ reject ("backpressure") when full
         ▼
-    micro-batcher (drains the priority queue in windows, groups by
-    topology fingerprint, folds duplicates)
+    dispatcher (once a slot is free: first job + whatever is already
+    queued, groups by topology fingerprint, folds duplicates)
         ▼
     persistent WorkerPool ── execute_batch ──▶ canonical response dicts
         ▼
@@ -34,13 +34,13 @@ Self-healing (PR 7): the worker path runs under a
 automatic restart and re-dispatch after worker crashes, an idle-pool
 heartbeat, and a circuit breaker that flips the daemon into degraded
 mode (typed ``degraded`` rejects with ``retry_after``) when the pool
-crash-loops.  With ``wal_path`` set, every accepted request is journaled
-fsync-durably *before* it is queued (:mod:`repro.service.wal`) and
-replayed through the normal queue path on restart, so a daemon kill
-never silently loses accepted work.  The invariant the chaos harness
-(:mod:`repro.chaos`) enforces: every accepted request terminates with a
-byte-identical correct reply or an explicit typed error — never a hang,
-never silent loss.
+crash-loops.  With ``wal_path`` set, every accepted request is queued,
+then journaled fsync-durably *before* any reply refers to it
+(:mod:`repro.service.wal`), and replayed through the normal queue path
+on restart, so a daemon kill never silently loses accepted work.  The
+invariant the chaos harness (:mod:`repro.chaos`) enforces: every
+accepted request terminates with a byte-identical correct reply or an
+explicit typed error — never a hang, never silent loss.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class ServiceConfig:
     workers: WorkersLike = None       # None → $REPRO_WORKERS or 1
     max_pending: int = 64
     max_batch: int = 16
-    batch_window: float = 0.02        # seconds the batcher waits to fill
+    batch_window: float = 0.0         # explicit hold (s); 0 = work-conserving
     store_ttl: Optional[float] = 300.0
     store_size: int = 1024
     max_inflight_batches: Optional[int] = None   # None → 2 × workers
@@ -162,7 +162,7 @@ class SchedulerService:
         self._dispatcher: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
         self._group_tasks: set = set()
-        self._inflight: Dict[str, asyncio.Future] = {}
+        self._inflight: Dict[str, Job] = {}
         self._stop_event: Optional[asyncio.Event] = None
         self._started_at = 0.0
         self.supervisor = PoolSupervisor(
@@ -270,7 +270,7 @@ class SchedulerService:
                 self.queue.put_nowait(job)
             except BackpressureError:   # pragma: no cover - tiny queues
                 break
-            self._inflight[fingerprint] = future
+            self._inflight[fingerprint] = job
             future.add_done_callback(
                 lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
             # No client awaits a replayed future; retrieve its outcome so
@@ -319,9 +319,10 @@ class SchedulerService:
                 if not job.future.done():
                     job.future.set_exception(
                         ConnectionError("service is shutting down"))
-        for fut in list(self._inflight.values()):
-            if not fut.done():
-                fut.set_exception(ConnectionError("service is shutting down"))
+        for job in list(self._inflight.values()):
+            if not job.future.done():
+                job.future.set_exception(
+                    ConnectionError("service is shutting down"))
         self._inflight.clear()
         # Pool close waits for in-flight jobs; do it off-loop so a long
         # job cannot wedge the shutdown path.
@@ -493,11 +494,16 @@ class SchedulerService:
                                        served={"from": "store"})
                 pending = self._inflight.get(fingerprint)
                 if pending is not None:
+                    # Fold onto the pending job, but reply no sooner than
+                    # its accept record is durable.
+                    if pending.accepted is not None:
+                        await asyncio.shield(pending.accepted)
                     if not wait:
                         return ok_envelope(ticket=fingerprint,
                                            status="pending")
                     sp.set(served="inflight")
-                    return await self._await_future(pending, "inflight")
+                    return await self._await_future(pending.future,
+                                                    "inflight")
             try:
                 self.config.admission.check(request)
             except AdmissionError as exc:
@@ -537,16 +543,20 @@ class SchedulerService:
                 if not victim.future.done():
                     victim.future.set_exception(ShedError(
                         "evicted by a higher-priority request; retry later"))
+            if self.config.dedup:
+                # Register at admission, before the WAL await, so
+                # concurrent duplicates fold onto this job instead of
+                # being queued and journaled again.
+                self._inflight[fingerprint] = job
+                future.add_done_callback(
+                    lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
             # Journal *after* the queue admitted the job but *before* any
             # reply: a request is only observably accepted once the client
             # hears back, and by then the accept record is fsync-durable.
             if self.wal is not None:
-                await asyncio.wrap_future(self.wal.append_accept(
+                job.accepted = asyncio.wrap_future(self.wal.append_accept(
                     fingerprint, job.payload, request.priority))
-            if self.config.dedup:
-                self._inflight[fingerprint] = future
-                future.add_done_callback(
-                    lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
+                await job.accepted
             if not wait:
                 # Nobody awaits a ticketed future directly (results are
                 # read back through the store), so mark any terminal

@@ -8,8 +8,8 @@ classic WAL discipline:
 
 - **accept record before the reply path commits** — when a submit is
   admitted, ``{"op": "accept", "fp": ..., "payload": ...}`` is appended
-  and *fsynced* before the request enters the queue; the daemon replies
-  only to requests the log would survive;
+  and *fsynced* before any reply refers to the request; the daemon
+  replies only to requests the log would survive;
 - **done record after the reply** — once a response (or typed error) has
   been computed and the stored result is durable in-process, ``{"op":
   "done", "fp": ...}`` marks the entry settled.  Done records are
@@ -172,9 +172,9 @@ class WriteAheadLog:
                       priority: int = 0) -> "Future[None]":
         """Journal an accepted request; resolve once it is fsync-durable.
 
-        The server awaits the returned future *before* queueing the job
-        and replying, so every request a client believes accepted is on
-        disk.  Duplicate fingerprints overwrite bookkeeping (dedup makes
+        The server awaits the returned future before any reply that
+        refers to the job, so every request a client believes accepted is
+        on disk.  Duplicate fingerprints overwrite bookkeeping (dedup makes
         them the same request) but still append — replay folds them.
         """
         with self._lock:

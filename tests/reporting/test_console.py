@@ -136,8 +136,7 @@ class TestLiveDaemon:
     def daemon(self):
         from repro.service import ServiceConfig, running_service
 
-        config = ServiceConfig(port=0, workers=1, batch_window=0.01,
-                               console_port=0)
+        config = ServiceConfig(port=0, workers=1, console_port=0)
         with running_service(config) as svc:
             yield svc
 

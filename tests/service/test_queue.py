@@ -1,4 +1,4 @@
-"""Admission policy and job-queue tests (priority, backpressure, windows)."""
+"""Admission policy and job-queue tests (priority, backpressure, dispatch)."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.service import ServiceConfig
 from repro.service.protocol import SimulateSpec
 from repro.service.queue import (
     AdmissionError,
@@ -104,6 +105,35 @@ class TestJobQueue:
                 q.put_nowait(_job(make_request(seed=s)))
             assert len(q.drain()) == 3
             assert q.depth == 0
+        run(body())
+
+
+class TestWorkConservingDispatch:
+    def test_default_config_dispatches_without_holding(self, make_request):
+        async def body():
+            q = JobQueue(max_pending=8)
+            q.put_nowait(_job(make_request(seed=1)))
+
+            async def late():
+                await asyncio.sleep(0.01)
+                q.put_nowait(_job(make_request(seed=2)))
+
+            task = asyncio.ensure_future(late())
+            batch = await q.get_batch(max_batch=4,
+                                      window=ServiceConfig().batch_window)
+            await task
+            assert len(batch) == 1
+            assert q.depth == 1
+        run(body())
+
+    def test_takes_the_backlog_up_to_max_batch(self, make_request):
+        async def body():
+            q = JobQueue(max_pending=8)
+            for s in range(5):
+                q.put_nowait(_job(make_request(seed=s)))
+            batch = await q.get_batch(max_batch=4, window=0.0)
+            assert len(batch) == 4
+            assert q.depth == 1
         run(body())
 
 

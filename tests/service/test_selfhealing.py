@@ -35,7 +35,7 @@ from repro.topology.irregular import random_irregular_topology
 
 
 def fast_config(**overrides) -> ServiceConfig:
-    defaults = dict(port=0, workers=2, batch_window=0.01, max_batch=8)
+    defaults = dict(port=0, workers=2, max_batch=8)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -27,7 +27,7 @@ from repro.topology.irregular import random_irregular_topology
 
 
 def fast_config(**overrides) -> ServiceConfig:
-    defaults = dict(port=0, workers=2, batch_window=0.01, max_batch=8)
+    defaults = dict(port=0, workers=2, max_batch=8)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -124,39 +124,59 @@ class TestDeterminismContract:
         assert b["served"]["from"] in ("store", "inflight")
 
 
+def submit_concurrently(address, request, n_clients):
+    """``n_clients`` threads submit ``request`` at once; returns replies."""
+    replies = []
+    lock = threading.Lock()
+
+    def submit():
+        with ServiceClient(*address) as c:
+            r = c.submit(request)
+            with lock:
+                replies.append(r)
+
+    threads = [threading.Thread(target=submit) for _ in range(n_clients)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return replies
+
+
 class TestCoalescing:
     def test_concurrent_duplicates_compute_once(self, make_request):
-        req = make_request(seed=41)
         n_clients = 6
-        replies = []
-        lock = threading.Lock()
-        with running_service(fast_config(batch_window=0.05)) as svc:
-
-            def submit():
-                with ServiceClient(*svc.address) as c:
-                    r = c.submit(req)
-                    with lock:
-                        replies.append(r)
-
-            threads = [threading.Thread(target=submit)
-                       for _ in range(n_clients)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            status_served = None
+        with running_service(fast_config()) as svc:
+            replies = submit_concurrently(svc.address, make_request(seed=41),
+                                          n_clients)
             with ServiceClient(*svc.address) as c:
-                status_served = c.status().served
+                status = c.status()
         assert len(replies) == n_clients
         payloads = {canon(r["result"]) for r in replies}
         assert len(payloads) == 1
-        # Every serving path is one of the three, and the expensive one
-        # (computed) ran at most twice (duplicates that raced past the
-        # in-flight check before the first was queued land in the same
-        # batch and are folded by the planner).
-        assert status_served["computed"] + status_served["store"] \
-            + status_served["inflight"] == n_clients
-        assert status_served["computed"] <= 2
+        # The first submit registers the in-flight future when the queue
+        # admits it; every duplicate folds onto it or hits the store.
+        assert status.served["computed"] == 1
+        assert status.served["store"] + status.served["inflight"] \
+            == n_clients - 1
+        assert status.batches["requests"] == 1
+
+    def test_concurrent_duplicates_with_a_wal_execute_and_journal_once(
+            self, make_request, tmp_path):
+        n_clients = 6
+        wal_path = tmp_path / "svc.wal"
+        config = ServiceConfig(port=0, workers=2, wal_path=wal_path)
+        with running_service(config) as svc:
+            replies = submit_concurrently(svc.address, make_request(seed=43),
+                                          n_clients)
+            with ServiceClient(*svc.address) as c:
+                status = c.status()
+        assert len({canon(r["result"]) for r in replies}) == 1
+        assert status.served["computed"] == 1
+        assert status.batches["requests"] == 1
+        records = [json.loads(line)
+                   for line in wal_path.read_text().splitlines()[1:]]
+        assert [r["op"] for r in records] == ["accept", "done"]
 
 
 class TestAdmissionAndBackpressure:

@@ -218,8 +218,7 @@ class TestServiceCommands:
     def service(self):
         from repro.service import ServiceConfig, running_service
 
-        with running_service(ServiceConfig(port=0, workers=1,
-                                           batch_window=0.01)) as svc:
+        with running_service(ServiceConfig(port=0, workers=1)) as svc:
             yield svc
 
     def test_submit_prints_scores_and_partition(self, service, capsys):
