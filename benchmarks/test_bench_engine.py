@@ -6,28 +6,13 @@ Every point's canonical payload must match bit-for-bit (the tentpole
 guarantee); the wall-clock ratios are recorded to
 ``benchmarks/BENCH_engine.json``.
 
-Two comparisons:
+Two comparisons.  The first is ``fast`` vs ``reference``, one simulator
+per (mapping, rate) cell.  The box this runs on is noisy, so each cell
+is timed best-of-``REPS`` and the aggregate is the sum of the best
+times; the recorded speedup therefore reflects the engines' intrinsic
+cost ratio, not scheduler jitter.
 
-- ``fast`` vs ``reference`` — one simulator per (mapping, rate) cell;
-- ``batch`` vs both — each mapping's whole 9-rate ladder runs as a single
-  :func:`simulate_batch` call, the way ``run_load_sweep`` uses it.
-
-Timing protocol: the box this runs on is noisy, so each cell (and each
-batched ladder) is timed best-of-``REPS`` and the aggregate is the sum of
-the best times.  The recorded speedup therefore reflects the engines'
-intrinsic cost ratio, not scheduler jitter.
-
-On the batch floor: the ISSUE's 10x target assumes the replication axis
-amortizes per-cycle work, but bit-identity pins every RNG draw and
-arbitration decision to the reference's scalar order, so the batch
-kernel's win comes from replication-level event skipping and tighter
-scalar paths, not vectorization — measured ~0.95-1.1x over ``fast``
-(larger batches skip more; the 36-cell mega-batch clears 1x) and ~5x
-over the reference on this workload.  The asserts below are
-non-regression floors for the honest numbers, not the aspirational
-target.
-
-The third comparison is the ``vector`` engine's many-seed ladder: the
+The second comparison is the ``vector`` engine's many-seed ladder: the
 OP mapping's 9-rate ladder replicated across ``VECTOR_SEEDS`` seeds and
 run as ONE ``simulate_batch_vector`` call (1296 replications in a
 lockstep arena), against ``fast`` running the same jobs one by one.
@@ -52,7 +37,6 @@ from conftest import run_once
 
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import canonical_payload, make_simulator
-from repro.simulation.engine_batch import simulate_batch
 from repro.simulation.engine_vector import simulate_batch_vector
 from repro.simulation.traffic import IntraClusterTraffic
 
@@ -108,20 +92,6 @@ def _time_point(table, mapping, rate, cfg):
     return best, payload
 
 
-def _time_ladder_batched(table, mapping, cfg):
-    """Best-of-REPS wall time for one mapping's ladder as a single batch."""
-    best = float("inf")
-    payloads = None
-    for _ in range(REPS):
-        jobs = [(table, IntraClusterTraffic(mapping), rate, cfg)
-                for rate in RATES]
-        t0 = time.perf_counter()
-        results = simulate_batch(jobs)
-        best = min(best, time.perf_counter() - t0)
-        payloads = [canonical_payload(r) for r in results]
-    return best, payloads
-
-
 def _time_ladder_vector(table, mapping, seeds, rounds):
     """Interleaved best-of-``rounds`` many-seed ladder timing.
 
@@ -155,7 +125,7 @@ def test_bench_engine(benchmark, setup16):
     records = [setup16.op_mapping()] + setup16.random_mappings(3)
     table = setup16.routing_table
 
-    totals = {"reference": 0.0, "fast": 0.0, "batch": 0.0}
+    totals = {"reference": 0.0, "fast": 0.0}
     per_mapping = {}
     vector_ladder = {}
     mismatches = 0
@@ -164,7 +134,6 @@ def test_bench_engine(benchmark, setup16):
         nonlocal mismatches
         for rec in records:
             ref_s = fast_s = 0.0
-            fast_payloads = []
             for rate in RATES:
                 rs, rp = _time_point(
                     table, rec.mapping, rate,
@@ -174,23 +143,14 @@ def test_bench_engine(benchmark, setup16):
                     replace(ENGINE_BENCH_CONFIG, engine="fast"))
                 ref_s += rs
                 fast_s += fs
-                fast_payloads.append(fp)
                 if rp != fp:
                     mismatches += 1
-            bat_s, bat_payloads = _time_ladder_batched(
-                table, rec.mapping,
-                replace(ENGINE_BENCH_CONFIG, engine="batch"))
-            mismatches += sum(
-                bp != fp for bp, fp in zip(bat_payloads, fast_payloads))
             totals["reference"] += ref_s
             totals["fast"] += fast_s
-            totals["batch"] += bat_s
             per_mapping[rec.name] = {
                 "reference_seconds": round(ref_s, 4),
                 "fast_seconds": round(fast_s, 4),
-                "batch_seconds": round(bat_s, 4),
                 "speedup": round(ref_s / fast_s, 3),
-                "batch_speedup_vs_fast": round(fast_s / bat_s, 3),
             }
         # Many-seed vector ladder: the OP mapping at full scale (the
         # headline number), random mappings at a smaller seed count for
@@ -215,15 +175,9 @@ def test_bench_engine(benchmark, setup16):
 
     assert mismatches == 0, f"{mismatches} points diverged between engines"
     speedup = totals["reference"] / totals["fast"]
-    batch_vs_fast = totals["fast"] / totals["batch"]
-    batch_vs_reference = totals["reference"] / totals["batch"]
     # The fast kernel targets >= 5x on this workload; keep the hard floor
     # loose enough that a loaded CI box doesn't flake.
     assert speedup >= 1.5
-    # Batch floors (see module docstring): must clearly beat the reference
-    # and must not regress materially against fast.
-    assert batch_vs_reference >= 1.5
-    assert batch_vs_fast >= 0.8
     # Vector floor: the headline many-seed ladder (OP mapping, all
     # seeds in one lockstep batch) must clear VECTOR_FLOOR x over fast.
     headline = vector_ladder[records[0].name]
@@ -234,8 +188,6 @@ def test_bench_engine(benchmark, setup16):
     vector_vs_reference = vector_vs_fast * speedup
     vec_speedups = [row["vector_speedup_vs_fast"]
                     for row in vector_ladder.values()]
-    bat_speedups = [row["batch_speedup_vs_fast"]
-                    for row in per_mapping.values()]
 
     payload = {
         "benchmark": "engine",
@@ -248,15 +200,7 @@ def test_bench_engine(benchmark, setup16):
         "measure_cycles": ENGINE_BENCH_CONFIG.measure_cycles,
         "reference_seconds": round(totals["reference"], 4),
         "fast_seconds": round(totals["fast"], 4),
-        "batch_seconds": round(totals["batch"], 4),
         "speedup": round(speedup, 3),
-        "batch_speedup_vs_fast": round(batch_vs_fast, 3),
-        "batch_speedup_vs_reference": round(batch_vs_reference, 3),
-        "batch_notes": (
-            "batch runs each mapping's 9-rate ladder as one simulate_batch "
-            "call; bit-identity fixes the scalar RNG/arbitration draw order, "
-            "so the win is event skipping, not vectorization"
-        ),
         "vector_seconds": headline["vector_seconds"],
         "vector_speedup_vs_fast": vector_vs_fast,
         "vector_speedup_vs_reference": round(vector_vs_reference, 3),
@@ -271,8 +215,6 @@ def test_bench_engine(benchmark, setup16):
         },
         "per_mapping_vector_speedup_min": round(min(vec_speedups), 3),
         "per_mapping_vector_speedup_max": round(max(vec_speedups), 3),
-        "per_mapping_batch_speedup_min": round(min(bat_speedups), 3),
-        "per_mapping_batch_speedup_max": round(max(bat_speedups), 3),
         "vector_notes": (
             "vector gives up bit-identity (statistical-equivalence "
             "contract in tests/simulation/test_engine_equivalence.py) to "

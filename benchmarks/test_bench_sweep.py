@@ -6,12 +6,11 @@ asserts the LoadPoints are identical, and writes the measurements to
 ``benchmarks/BENCH_sweep.json``.  As with the search benchmark, the speedup
 reflects the machine it ran on.
 
-Beyond the pool, the sweep's chunked dispatch lets batch-capable engines
-run a whole worker chunk as ONE ``simulate_batch`` call instead of one
-process-pool job per point.  The bench times that path too: a ``batch``
-sweep (bit-identical to the serial baseline — asserted) and a ``vector``
-sweep (the statistically-equivalent lockstep kernel), recording their
-speedups over the serial scalar sweep.
+Beyond the pool, the sweep's chunked dispatch lets the ``vector`` engine
+run a whole worker chunk as ONE ``simulate_batch_vector`` call instead
+of one process-pool job per point.  The bench times that path too (the
+statistically-equivalent lockstep kernel), recording its speedup over
+the serial scalar sweep.
 """
 
 import json
@@ -22,7 +21,6 @@ from pathlib import Path
 from conftest import run_once
 
 from repro.parallel import detect_workers
-from repro.simulation.engine import canonical_payload
 from repro.simulation.sweep import make_load_points, run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
 
@@ -55,19 +53,9 @@ def test_bench_sweep(benchmark, setup24, bench_config):
         assert p.index == s.index and p.rate == s.rate
         assert p.result == s.result
 
-    # Chunked batch-capable dispatch: the whole ladder as one
-    # simulate_batch call.  ``batch`` must reproduce the serial scalar
-    # sweep bit-identically; ``vector`` is timed under its statistical
-    # contract (equivalence is enforced by the tier-1 suite, not here).
-    t0 = time.perf_counter()
-    chunked = run_load_sweep(setup24.routing_table, traffic, rates,
-                             replace(bench_config, engine="batch"),
-                             workers=1)
-    batch_seconds = time.perf_counter() - t0
-    for s, c in zip(serial, chunked):
-        assert c.index == s.index and c.rate == s.rate
-        assert canonical_payload(c.result) == canonical_payload(s.result)
-
+    # Chunked vector dispatch: the whole ladder as one
+    # simulate_batch_vector call, timed under its statistical contract
+    # (equivalence is enforced by the tier-1 suite, not here).
     t0 = time.perf_counter()
     vector = run_load_sweep(setup24.routing_table, traffic, rates,
                             replace(bench_config, engine="vector"),
@@ -88,13 +76,10 @@ def test_bench_sweep(benchmark, setup24, bench_config):
         "parallel_seconds": round(parallel_seconds, 4),
         "speedup": round(serial_seconds / parallel_seconds, 3),
         "identical": True,
-        "batch_chunk_seconds": round(batch_seconds, 4),
-        "batch_chunk_speedup": round(serial_seconds / batch_seconds, 3),
-        "batch_chunk_identical": True,
         "vector_chunk_seconds": round(vector_seconds, 4),
         "vector_chunk_speedup": round(serial_seconds / vector_seconds, 3),
-        "notes": ("chunked dispatch sends one simulate_batch call per "
-                  "worker chunk instead of one pool job per point; the "
+        "notes": ("chunked dispatch sends one simulate_batch_vector call "
+                  "per worker chunk instead of one pool job per point; the "
                   "vector engine's per-cycle array overhead only "
                   "amortizes at many replications (see BENCH_engine.json "
                   "vector_ladder at 144 seeds), so a 6-point sweep is "

@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", type=int, default=1200)
     p.add_argument("--engine", default="fast",
                    choices=list(ENGINE_NAMES),
-                   help="simulator engine ('reference'/'fast'/'batch' are "
+                   help="simulator engine ('reference'/'fast' are "
                         "bit-identical; 'vector' is the many-seed kernel "
                         "under the statistical-equivalence contract)")
     p.set_defaults(func=cmd_simulate)

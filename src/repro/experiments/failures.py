@@ -269,9 +269,10 @@ def simulate_fault_impact(
 
     Returns ``{label: {"rates": [...], "accepted": [...],
     "avg_latency": [...]}}`` with a ``"healthy"`` row first.  The payload
-    is a deterministic function of the seeds and is engine-independent;
-    with ``config.engine == "batch"`` each scenario's ladder runs as one
-    :func:`repro.simulation.engine_batch.simulate_batch` call.
+    is a deterministic function of the seeds and is the same on both
+    bit-identical engines; with ``config.engine == "vector"`` each
+    scenario's ladder runs as one
+    :func:`repro.simulation.engine_vector.simulate_batch_vector` call.
     """
     if scenarios is None:
         scenarios = single_link_scenarios(setup.topology)

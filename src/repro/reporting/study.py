@@ -43,6 +43,7 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel import WorkersLike
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import ENGINE_NAMES
 from repro.simulation.equivalence import mean_ci
 from repro.simulation.sweep import make_load_points, run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
@@ -66,10 +67,10 @@ class StudySpec:
     ``fault_sets`` entries are :data:`HEALTHY` or fault labels:
     ``"link-<i>"`` (the i-th link of the topology, in link order) or
     ``"L<u>-<v>"`` (an explicit link).  ``engines`` entries are
-    simulation engine names (``fast``/``reference``/``batch``/
-    ``vector``).  ``max_rate`` places the top of the load ladder; when
-    ``None`` the study derives it from the OP mapping's saturation
-    point like the figure drivers do (slower but parameter-free).
+    simulation engine names (``fast``/``reference``/``vector``).
+    ``max_rate`` places the top of the load ladder; when ``None`` the
+    study derives it from the OP mapping's saturation point like the
+    figure drivers do (slower but parameter-free).
     """
 
     name: str = "variation-study"
@@ -102,6 +103,11 @@ class StudySpec:
             raise ValueError(f"num_rates must be >= 2, got {self.num_rates}")
         if not self.engines:
             raise ValueError("at least one engine is required")
+        unknown = [e for e in self.engines if e not in ENGINE_NAMES]
+        if unknown:
+            raise ValueError(
+                f"unknown engines {unknown}; allowed engines are "
+                f"{list(ENGINE_NAMES)}")
         if not self.fault_sets:
             raise ValueError("at least one fault set is required")
 
@@ -618,12 +624,15 @@ def wrap_records(
         name=name,
         switches=switches,
         num_random=len(mappings) - 1,
-        engines=tuple(engines),
         fault_sets=tuple(fault_sets),
         num_rates=max(2, len(rates)),
         replications=max(r.replications for r in records),
         baseline=baseline,
     )
+    # Adapter records label their engine coordinate with the experiment
+    # ("fig3", "faults"), not an engine name; this spec never runs, so
+    # it carries those labels past the engine-name check.
+    object.__setattr__(spec, "engines", tuple(engines))
     return VariationStudyResult(spec=spec, records=list(records),
                                 rates=list(rates))
 

@@ -9,7 +9,7 @@ per-destination lookup lists:
 candidates on shortest legal continuations.
 
 The table additionally hosts the *engine caches*: per-slot routing-candidate
-stores that every simulation engine (fast, batch, vector) used to rebuild
+stores that every simulation engine (fast, vector) used to rebuild
 per instantiation.  Candidates depend only on the routing table and the
 channel layout (which is a pure function of topology + ``virtual_channels``)
 plus the adaptive flag, so one store per ``(virtual_channels, adaptive)``

@@ -51,21 +51,19 @@ class SimulationConfig:
         Seed of the simulator's own RNG (arrival times, destination draws,
         arbitration coin flips).
     engine:
-        Which engine executes the model: ``"fast"`` (the struct-of-arrays
-        kernel with quiescence skipping, the default), ``"reference"``
-        (the per-``Message`` model in :mod:`repro.simulation.network`),
-        ``"batch"`` (the many-replication lockstep kernel in
-        :mod:`repro.simulation.engine_batch`; solo runs get a batch of
-        one, and ``simulate_batch`` runs many seeds/rates at once) or
-        ``"vector"`` (the numpy-vectorized many-replication kernel in
-        :mod:`repro.simulation.engine_vector`).  The first three are
-        bit-identical — same RNG draw order, same
-        :class:`SimulationResult` payload for every seed — so within
-        that tier this is purely a performance knob; the three-way
-        parity suite (``tests/simulation/test_engine_parity.py``)
-        enforces it.  ``"vector"`` is opt-in and relaxes the contract to
-        *statistical equivalence*: deterministic per seed, same latency/
-        throughput distributions, different draw order (enforced by
+        Which engine executes the model, in two contract tiers.  The
+        bit-identical tier is ``"fast"`` (the struct-of-arrays kernel
+        with quiescence skipping, the default) and ``"reference"`` (the
+        per-``Message`` model in :mod:`repro.simulation.network`, the
+        oracle): same RNG draw order, same :class:`SimulationResult`
+        payload for every seed, so the choice between them is purely a
+        performance knob; the parity suite
+        (``tests/simulation/test_engine_parity.py``) enforces it.  The
+        statistical tier is ``"vector"`` (the numpy-vectorized
+        many-seed kernel in :mod:`repro.simulation.engine_vector`): it
+        is opt-in and relaxes the contract to *statistical
+        equivalence* — deterministic per seed, same latency/throughput
+        distributions, different draw order (enforced by
         ``tests/simulation/test_engine_equivalence.py``).
     """
 
@@ -91,10 +89,10 @@ class SimulationConfig:
             raise ValueError(f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
         check_positive(self.measure_cycles, "measure_cycles")
         check_positive(self.queue_capacity, "queue_capacity")
-        if self.engine not in ("reference", "fast", "batch", "vector"):
+        if self.engine not in ("reference", "fast", "vector"):
             raise ValueError(
-                f"engine must be 'reference', 'fast', 'batch' or "
-                f"'vector', got {self.engine!r}"
+                f"engine must be 'reference', 'fast' or 'vector', "
+                f"got {self.engine!r}"
             )
 
 

@@ -1,19 +1,25 @@
 """The shared wormhole-engine interface, perf instrumentation and factory.
 
-Three engines implement the same cycle-level semantics:
+Three engines implement the same cycle-level semantics, in two contract
+tiers.  The bit-identical tier:
 
 - ``"reference"`` — :class:`repro.simulation.network.WormholeNetworkSimulator`,
-  the readable per-``Message`` model that defines the behaviour;
+  the readable per-``Message`` model that defines the behaviour (the
+  oracle);
 - ``"fast"``      — :class:`repro.simulation.engine_fast.FastWormholeNetworkSimulator`,
   a struct-of-arrays kernel with quiescence skipping that is **bit-identical**
   to the reference: same RNG draw order, same
-  :class:`~repro.simulation.metrics.SimulationResult` payload for every seed;
-- ``"batch"``     — :mod:`repro.simulation.engine_batch`, the many-replication
-  lockstep kernel: one flattened state arena with a leading replication
-  axis advances a whole batch of seeds/rates at once (bit-identical per
-  member).  ``make_simulator`` builds a batch-of-one view; callers with
-  several compatible replications pending should use
-  :func:`repro.simulation.engine_batch.simulate_batch`.
+  :class:`~repro.simulation.metrics.SimulationResult` payload for every seed.
+
+The statistical tier:
+
+- ``"vector"``    — :mod:`repro.simulation.engine_vector`, the many-seed
+  kernel: numpy arrays with a leading replication axis advance a whole
+  batch of seeds/rates at once.  Deterministic per seed but only
+  statistically equivalent to the bit-identical tier
+  (:mod:`repro.simulation.equivalence`).  ``make_simulator`` builds a
+  batch-of-one view; callers with several compatible replications
+  pending use :func:`repro.simulation.engine_vector.simulate_batch_vector`.
 
 :func:`make_simulator` dispatches on ``SimulationConfig.engine``; everything
 downstream (load sweeps, saturation probes, the figure drivers, the CLI)
@@ -39,13 +45,13 @@ from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import TrafficPattern
 
 #: Engine names accepted by ``SimulationConfig.engine``.
-#: ``reference``/``fast``/``batch`` are bit-identical to each other;
-#: ``vector`` is deterministic per seed but only statistically
-#: equivalent (see :mod:`repro.simulation.equivalence`).
-ENGINE_NAMES = ("reference", "fast", "batch", "vector")
+#: ``reference``/``fast`` are bit-identical to each other; ``vector`` is
+#: deterministic per seed but only statistically equivalent (see
+#: :mod:`repro.simulation.equivalence`).
+ENGINE_NAMES = ("reference", "fast", "vector")
 
 #: The subset of :data:`ENGINE_NAMES` under the bit-identical contract.
-BIT_IDENTICAL_ENGINES = ("reference", "fast", "batch")
+BIT_IDENTICAL_ENGINES = ("reference", "fast")
 
 
 @dataclass
@@ -133,8 +139,8 @@ def make_simulator(routing_table, traffic: TrafficPattern,
     """Build the engine selected by ``config.engine``.
 
     The returned object satisfies :class:`NetworkEngine`.  Results are
-    bit-identical across the ``reference``/``fast``/``batch`` engines, so
-    within that tier the choice is purely a performance knob; the opt-in
+    bit-identical across the ``reference``/``fast`` engines, so within
+    that tier the choice is purely a performance knob; the opt-in
     ``vector`` engine is deterministic per seed but relaxes the contract
     to statistical equivalence (validated by the equivalence suite) in
     exchange for numpy vectorization across replications.
@@ -149,11 +155,6 @@ def make_simulator(routing_table, traffic: TrafficPattern,
 
         return FastWormholeNetworkSimulator(routing_table, traffic,
                                             injection_rate, config)
-    if config.engine == "batch":
-        from repro.simulation.engine_batch import build_batch_simulator
-
-        return build_batch_simulator(routing_table, traffic,
-                                     injection_rate, config)
     if config.engine == "vector":
         from repro.simulation.engine_vector import build_vector_simulator
 

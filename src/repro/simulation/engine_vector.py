@@ -1,9 +1,10 @@
 """Numpy-vectorized many-replication engine (``engine="vector"``).
 
-The batch kernel (:mod:`repro.simulation.engine_batch`) is bit-identical to
-the reference, which pins the scalar RNG/arbitration draw order and caps it
-near the fast engine's speed.  This module trades that contract for a
-relaxed one — **statistical equivalence** — to unlock real vectorization:
+The bit-identical engines (``reference`` and ``fast``) pin the scalar
+RNG/arbitration draw order, so they advance one replication at a time.
+This module is the statistical tier, the many-seed kernel: it trades
+that contract for a relaxed one — **statistical equivalence** — to
+unlock real vectorization:
 
 - state is a flat struct-of-arrays arena with a leading replication axis
   (``gslot = rep * S + slot``, ``gchan = rep * C + cid``), and every phase
@@ -40,6 +41,12 @@ beyond a worm's chain length always hold zero flits, so the dense column
 ops need no per-worm masks.  Multi-VC configurations fall back to the
 budgeted struct-of-arrays kernel under the vector name (bit-identical to
 ``fast``, hence trivially equivalent).
+
+Batch compatibility rules (checked by :func:`check_batch_compatible`):
+all members share one :class:`~repro.routing.tables.RoutingTable` object
+(same topology, same routing) and one ``virtual_channels`` value;
+everything else — seed, rate, traffic, message length, buffer depth,
+measurement windows — may vary per member.
 """
 
 from __future__ import annotations
@@ -57,7 +64,6 @@ from repro.routing.base import Phase
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import EnginePerf, record_engine_metrics
-from repro.simulation.engine_batch import check_batch_compatible
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import (
     IntraClusterTraffic,
@@ -66,6 +72,39 @@ from repro.simulation.traffic import (
 )
 from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
+
+
+class BatchCompatibilityError(ValueError):
+    """Raised when a set of replications cannot share one batch kernel."""
+
+
+def check_batch_compatible(jobs: Sequence[Tuple[RoutingTable, TrafficPattern,
+                                                float, SimulationConfig]]) -> None:
+    """Validate that ``jobs`` may run as one batch; raise a clear error.
+
+    ``jobs`` are ``(table, traffic, rate, config)`` tuples.  The rules are
+    the module-level compatibility rules: one shared routing-table object
+    and one ``virtual_channels`` value.
+    """
+    if not jobs:
+        raise BatchCompatibilityError(
+            "simulate_batch_vector needs at least one job")
+    table0 = jobs[0][0]
+    vcs0 = jobs[0][3].virtual_channels
+    for i, (table, _traffic, _rate, cfg) in enumerate(jobs):
+        if table is not table0:
+            raise BatchCompatibilityError(
+                f"job {i} uses a different routing table/topology than job 0 "
+                f"({table.topology.name!r} vs {table0.topology.name!r}); "
+                "batched replications must share one RoutingTable object — "
+                "split the batch by topology first"
+            )
+        if cfg.virtual_channels != vcs0:
+            raise BatchCompatibilityError(
+                f"job {i} has virtual_channels={cfg.virtual_channels} but "
+                f"job 0 has {vcs0}; a batch must agree on virtual_channels"
+            )
+
 
 # --------------------------------------------------------------------- #
 # counter-based RNG
@@ -1604,9 +1643,9 @@ def simulate_batch_vector(
     member's result is deterministic given its seed and independent of
     the batch composition (per-replication counter RNG streams, disjoint
     state partitions), but only statistically equivalent to the
-    bit-identical engines.  Compatibility rules match
-    :func:`repro.simulation.engine_batch.simulate_batch`: one shared
-    routing-table object, one ``virtual_channels`` value.
+    bit-identical engines.  Raises :class:`BatchCompatibilityError`
+    unless the jobs share one routing-table object and one
+    ``virtual_channels`` value.
     """
     jobs = list(jobs)
     check_batch_compatible(jobs)
@@ -1632,7 +1671,9 @@ def simulate_batch_vector(
 
 
 __all__ = [
+    "BatchCompatibilityError",
     "VectorWormholeNetworkSimulator",
     "build_vector_simulator",
+    "check_batch_compatible",
     "simulate_batch_vector",
 ]

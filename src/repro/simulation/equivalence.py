@@ -1,6 +1,6 @@
 """Statistical-equivalence contract between simulation engines.
 
-The ``reference``/``fast``/``batch`` engines are bit-identical: every RNG
+The ``reference``/``fast`` engines are bit-identical: every RNG
 draw and arbitration decision happens in the same order, so their payloads
 can be compared with ``==``.  The ``vector`` engine deliberately breaks
 that contract — it draws per-replication counter-based streams and

@@ -69,16 +69,16 @@ def _simulate_point(job: _SweepJob) -> LoadPoint:
 def _simulate_chunk(jobs: Sequence[_SweepJob]) -> List[LoadPoint]:
     """Run a chunk of sweep points in one worker (one pickled job).
 
-    Batch-capable engines execute the whole chunk as a single
-    ``simulate_batch`` call; scalar engines loop the points in-process.
-    Either way the per-point seeds are the ones ``run_load_sweep``
-    derived, so results are independent of the chunking.
+    The ``vector`` engine executes the whole chunk as a single
+    ``simulate_batch_vector`` call; the bit-identical engines loop the
+    points in-process.  Either way the per-point seeds are the ones
+    ``run_load_sweep`` derived, so results are independent of the
+    chunking.
     """
-    engine = jobs[0][4].engine
-    if engine in ("batch", "vector"):
-        from repro.simulation.engine_batch import simulate_batch
+    if jobs[0][4].engine == "vector":
+        from repro.simulation.engine_vector import simulate_batch_vector
 
-        results = simulate_batch(
+        results = simulate_batch_vector(
             [(table, traffic, rate, cfg)
              for table, traffic, _i, rate, cfg in jobs])
         return [LoadPoint(index=i, rate=rate, result=res)
@@ -106,21 +106,21 @@ def run_load_sweep(
     after the (possibly pooled) map returns, so the event stream is the
     same for serial and parallel runs.
 
-    With ``config.engine`` in ``("batch", "vector")`` the points are
-    compatible replications of one network by construction, so a serial
-    sweep runs the whole ladder as a single
-    :func:`repro.simulation.engine_batch.simulate_batch` call instead of
-    point-at-a-time processes; per-point payloads are identical either
-    way (bit-identical for ``batch``; the composition-invariant vector
-    kernel for ``vector``), so this is purely a performance path.
+    With ``config.engine == "vector"`` the points are compatible
+    replications of one network by construction, so a serial sweep runs
+    the whole ladder as a single
+    :func:`repro.simulation.engine_vector.simulate_batch_vector` call
+    instead of point-at-a-time; the composition-invariant vector kernel
+    gives the same per-point payloads either way, so this is purely a
+    performance path.
 
     Parallel sweeps dispatch *chunks*: the jobs are dealt round-robin
     across ``workers`` chunks and each pool worker runs one chunk (a
-    single ``simulate_batch`` call for batch-capable engines, an
-    in-process loop otherwise).  One pickled job per worker instead of
-    one per point keeps pool overhead off the critical path; the
-    per-point seeds are derived before chunking, so results are
-    bit-identical to the serial order regardless of the chunk count.
+    single ``simulate_batch_vector`` call for ``vector``, an in-process
+    loop otherwise).  One pickled job per worker instead of one per
+    point keeps pool overhead off the critical path; the per-point
+    seeds are derived before chunking, so results are bit-identical to
+    the serial order regardless of the chunk count.
     """
     jobs: List[_SweepJob] = [
         (table, traffic, i, rate,

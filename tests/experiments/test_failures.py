@@ -1,7 +1,5 @@
 """Tests for the fault-injection study (new driver and legacy view)."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,14 +251,6 @@ class TestSimulatedFaultImpact:
         for row in out.values():
             assert len(row["accepted"]) == 2
             assert all(a >= 0 for a in row["accepted"])
-
-    def test_engine_batch_byte_identical_to_fast(self, small_setup,
-                                                 scenarios):
-        """The fault study's determinism contract is engine-independent."""
-        fast = self._impact(small_setup, scenarios, "fast")
-        batch = self._impact(small_setup, scenarios, "batch")
-        assert json.dumps(fast, sort_keys=True) \
-            == json.dumps(batch, sort_keys=True)
 
     def test_fault_study_itself_is_engine_free(self, small_setup, scenarios):
         """run_fault_study never simulates: its payload has no engine knob,

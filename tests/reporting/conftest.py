@@ -20,7 +20,7 @@ TINY_SPEC_KWARGS = dict(
     clusters=2,
     seed=5,
     num_random=2,
-    engines=("fast", "batch"),
+    engines=("fast", "reference"),
     fault_sets=("healthy", "link-0"),
     num_rates=2,
     max_rate=0.02,

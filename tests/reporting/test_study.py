@@ -53,6 +53,13 @@ class TestStudySpec:
         with pytest.raises(ValueError):
             StudySpec(**{**TINY_SPEC_KWARGS, **bad})
 
+    @pytest.mark.parametrize("engine", ["batch", "antigravity"])
+    def test_unknown_engine_rejected(self, engine):
+        """A bad engine name fails at construction, not when its cell runs."""
+        with pytest.raises(ValueError, match="reference.*fast.*vector"):
+            StudySpec(**{**TINY_SPEC_KWARGS,
+                         "engines": ("fast", engine)})
+
     def test_cells_counts_the_grid(self, tiny_spec):
         assert tiny_spec.cells == 3 * 2 * 2 == 12
 
@@ -63,7 +70,7 @@ class TestRunVariationStudy:
         names = [r.name for r in tiny_study.records]
         assert len(set(names)) == len(names)
         assert "OP/healthy/fast" in names
-        assert "R1/link-0/batch" in names
+        assert "R1/link-0/reference" in names
 
     def test_records_validate_and_roundtrip(self, tiny_study):
         for r in tiny_study.records:

@@ -133,25 +133,6 @@ class TestSimulation:
         b = execute_request(req.to_dict(), cold=True)
         assert a["simulation"] == b["simulation"]
 
-    def test_batch_engine_byte_identical_to_fast(self, make_request):
-        """The executor's determinism contract is engine-independent.
-
-        A request asking for ``engine="batch"`` runs its whole sweep as
-        one simulate_batch call; the canonical response (minus the
-        fingerprint, which encodes the requested engine) must be
-        byte-identical to the ``engine="fast"`` run.
-        """
-        def respond(engine):
-            req = make_request(
-                seed=3,
-                simulate=SimulateSpec(points=3, warmup=10, measure=30,
-                                      engine=engine))
-            out = execute_batch([req.to_dict()])[0]
-            out.pop("fingerprint")
-            return json.dumps(out, sort_keys=True)
-
-        assert respond("fast") == respond("batch")
-
     def test_vector_engine_request_is_deterministic(self, make_request):
         """``engine="vector"`` rides the same worker seam.
 

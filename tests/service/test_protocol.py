@@ -140,9 +140,10 @@ class TestScheduleRequestRejection:
         d["simulate"] = {"points": 0}
         with pytest.raises(ProtocolError, match="points"):
             ScheduleRequest.from_dict(d)
-        d["simulate"] = {"engine": "antigravity"}
-        with pytest.raises(ProtocolError, match="engine"):
-            ScheduleRequest.from_dict(d)
+        for engine in ("antigravity", "batch"):
+            d["simulate"] = {"engine": engine}
+            with pytest.raises(ProtocolError, match="engine"):
+                ScheduleRequest.from_dict(d)
 
     def test_faults_must_reference_the_topology(self, service_topo):
         with pytest.raises(ValueError):

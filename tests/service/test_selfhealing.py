@@ -3,7 +3,8 @@
 Covers the pieces with their own contracts: the client's transparent
 reconnect-and-resubmit (regression for the died-between-submit-and-reply
 fault), typed startup failures from :func:`running_service`, priority-
-aware load shedding at the queue, store integrity digests, and the
+aware load shedding at the queue, store integrity digests, WAL replay
+of journaled requests this build can no longer parse, and the
 status-protocol round trip of the new supervisor/WAL fields.
 """
 
@@ -31,6 +32,7 @@ from repro.service import (
     running_service,
 )
 from repro.service.store import ResultStore
+from repro.service.wal import WriteAheadLog
 from repro.topology.irregular import random_irregular_topology
 
 
@@ -199,6 +201,30 @@ class TestStoreIntegrity:
         store.put("fp", {"f_g": 1.25})
         assert store.get("fp") == {"f_g": 1.25}
         assert store.stats().corruptions == 0
+
+
+class TestWalReplay:
+    def test_unparseable_journal_entry_is_settled_not_replayed(self,
+                                                               tmp_path):
+        """A WAL written by an older daemon may hold an accepted request
+        this build rejects — here ``engine: "batch"``, a simulator engine
+        that no longer exists.  Startup settles it instead of raising or
+        crash-looping, and the daemon keeps serving."""
+        wal_path = tmp_path / "svc.wal"
+        legacy = small_request(seed=5).to_dict()
+        legacy["simulate"] = {"engine": "batch", "points": 2,
+                              "warmup": 10, "measure": 30}
+        with WriteAheadLog(wal_path) as wal:
+            wal.append_accept("legacy-batch-engine", legacy).result()
+        request = small_request()
+        with running_service(fast_config(wal_path=wal_path)) as service:
+            assert service.wal.pending() == []
+            assert service._counters["replayed"] == 0
+            with ServiceClient(*service.address) as client:
+                reply = client.submit(request)
+        assert reply["ok"]
+        assert canon(reply["result"]) == canon(
+            execute_request(request.to_dict()))
 
 
 class TestStatusRoundTrip:

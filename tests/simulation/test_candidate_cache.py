@@ -2,8 +2,7 @@
 
 PR 8 moved the per-slot routing-candidate structures off the engine
 instances and onto the :class:`RoutingTable` (``candidate_cache`` for the
-scalar/batch kernels, ``engine_cache`` for the vector kernel's dense
-arrays).  These tests pin the sharing down by object identity — two
+scalar kernel, ``engine_cache`` for the vector kernel's dense arrays).  These tests pin the sharing down by object identity — two
 engines on one table must reuse ONE store, not rebuild per
 instantiation — and check the stores stay out of pickled pool jobs.
 """
@@ -16,7 +15,6 @@ from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import make_simulator
-from repro.simulation.engine_batch import _BatchCore
 from repro.simulation.engine_vector import _VectorCore
 from repro.simulation.traffic import UniformTraffic
 from repro.topology.irregular import random_irregular_topology
@@ -51,14 +49,6 @@ def test_second_engine_starts_with_a_warm_store():
     b = make_simulator(table, traffic, 0.02, CFG)
     # Same object, so the second engine sees every entry the first built.
     assert len(b._cand_cache) == filled
-
-
-def test_batch_core_shares_the_scalar_store():
-    topo, table = _setup()
-    traffic = UniformTraffic(topo)
-    fast = make_simulator(table, traffic, 0.01, CFG)
-    core = _BatchCore(table, [(traffic, 0.01, CFG)])
-    assert core._cand_cache[CFG.adaptive] is fast._cand_cache
 
 
 def test_vector_cores_share_dense_arrays_by_identity():

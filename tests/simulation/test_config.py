@@ -26,6 +26,7 @@ class TestConfig:
         {"warmup_cycles": -1},
         {"measure_cycles": 0},
         {"queue_capacity": 0},
+        {"engine": "batch"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -3,22 +3,24 @@
 The vector engine is deterministic given ``(seed, engine)`` but draws
 its RNG streams per replication instead of replaying the reference
 engine's scalar draw order, so bit-identity against the
-``reference``/``fast``/``batch`` lineage is impossible by design.  This
-suite pins down what IS promised:
+``reference``/``fast`` tier is impossible by design.  This suite pins
+down what IS promised:
 
 - determinism: same batch twice -> byte-identical canonical payloads;
 - composition invariance: a member's payload does not depend on which
   other members share the lockstep arena (solo == batch == superset);
 - statistical equivalence: across 32 seeds per (rate) point, mean
   latency and delivered throughput are indistinguishable from the
-  bit-identical lineage's under the combined Welch-t + CI-overlap rule
-  of :mod:`repro.simulation.equivalence` (batch engine as the
+  bit-identical tier's under the combined Welch-t + CI-overlap rule
+  of :mod:`repro.simulation.equivalence` (``fast`` runs as the
   reference side — it is bit-identical to ``reference``, so this is
   the cheapest faithful proxy);
 - rank preservation: the paper's qualitative result (the OP mapping
   beats random mappings) survives the engine swap;
 - multi-VC fallback: unsupported configurations degrade to the
-  bit-identical kernel rather than to silently-different physics.
+  bit-identical kernel rather than to silently-different physics;
+- batch compatibility: mixed routing tables or mixed virtual-channel
+  counts fail loudly instead of silently desynchronizing.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from repro.routing.updown import UpDownRouting
 from repro.simulation import BIT_IDENTICAL_ENGINES, ENGINE_NAMES
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import canonical_payload, make_simulator
-from repro.simulation.engine_batch import simulate_batch
 from repro.simulation.engine_vector import (
+    BatchCompatibilityError,
     VectorWormholeNetworkSimulator,
+    check_batch_compatible,
     simulate_batch_vector,
 )
 from repro.simulation.equivalence import (
@@ -64,15 +67,21 @@ def _jobs(table, traffic, engine):
     ]
 
 
+def _run_fast(jobs):
+    """The bit-identical sample: each job run solo on the fast engine."""
+    return [make_simulator(table, traffic, rate, cfg).run()
+            for table, traffic, rate, cfg in jobs]
+
+
 @pytest.fixture(scope="module")
 def sample_grids(net8):
-    """label -> metric -> per-seed samples, for both engine lineages."""
+    """label -> metric -> per-seed samples, for both engine tiers."""
     topo, table = net8
     traffic = UniformTraffic(topo)
     vec = simulate_batch_vector(_jobs(table, traffic, "vector"))
-    bat = simulate_batch(_jobs(table, traffic, "batch"))
+    fast = _run_fast(_jobs(table, traffic, "fast"))
     grids = []
-    for results in (vec, bat):
+    for results in (vec, fast):
         grid = {}
         for i, rate in enumerate(RATES):
             chunk = results[i * SEEDS:(i + 1) * SEEDS]
@@ -90,17 +99,17 @@ def sample_grids(net8):
 # --------------------------------------------------------------------- #
 
 def test_vector_statistically_equivalent(sample_grids):
-    vec_grid, bat_grid = sample_grids
-    report = check_equivalence(vec_grid, bat_grid)
+    vec_grid, fast_grid = sample_grids
+    report = check_equivalence(vec_grid, fast_grid)
     assert report.equivalent, report.summary()
     # The grid really covered every (rate, metric) point.
     assert len(report.points) == len(RATES) * 2
 
 
 def test_equivalence_run_is_deterministic(sample_grids):
-    vec_grid, bat_grid = sample_grids
-    first = check_equivalence(vec_grid, bat_grid)
-    second = check_equivalence(vec_grid, bat_grid)
+    vec_grid, fast_grid = sample_grids
+    first = check_equivalence(vec_grid, fast_grid)
+    second = check_equivalence(vec_grid, fast_grid)
     assert first.points == second.points
 
 
@@ -109,7 +118,7 @@ def test_vector_is_not_bit_identical_but_is_registered():
     # engine, but deliberately outside the bit-identical set.
     assert "vector" in ENGINE_NAMES
     assert "vector" not in BIT_IDENTICAL_ENGINES
-    assert set(BIT_IDENTICAL_ENGINES) == {"reference", "fast", "batch"}
+    assert set(BIT_IDENTICAL_ENGINES) == {"reference", "fast"}
 
 
 # --------------------------------------------------------------------- #
@@ -165,7 +174,7 @@ def test_op_mapping_outranks_randoms_on_both_engines():
     scores = {}
     for engine, runner in (
         ("vector", simulate_batch_vector),
-        ("batch", simulate_batch),
+        ("fast", _run_fast),
     ):
         jobs = [
             (table, IntraClusterTraffic(rec.mapping), rate,
@@ -181,10 +190,10 @@ def test_op_mapping_outranks_randoms_on_both_engines():
     op = records[0].name
     for rec in records[1:]:
         contest_v = {k: scores["vector"][k] for k in (op, rec.name)}
-        contest_b = {k: scores["batch"][k] for k in (op, rec.name)}
-        ok, order_v, order_b = check_rank_preservation(
-            contest_v, contest_b, higher_is_better=False)
-        assert ok, (order_v, order_b, scores)
+        contest_f = {k: scores["fast"][k] for k in (op, rec.name)}
+        ok, order_v, order_f = check_rank_preservation(
+            contest_v, contest_f, higher_is_better=False)
+        assert ok, (order_v, order_f, scores)
         assert order_v[0] == op, scores
 
 
@@ -209,3 +218,45 @@ def test_vector_class_rejects_multi_vc(net8):
         VectorWormholeNetworkSimulator(
             table, UniformTraffic(topo), 0.01,
             replace(EQ_CONFIG, virtual_channels=2))
+
+
+# --------------------------------------------------------------------- #
+# batch compatibility
+# --------------------------------------------------------------------- #
+
+def _vector_job(table, topo, seed, **kw):
+    return (table, UniformTraffic(topo), 0.01,
+            replace(EQ_CONFIG, seed=seed, engine="vector", **kw))
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(BatchCompatibilityError, match="at least one"):
+        simulate_batch_vector([])
+
+
+def test_mixed_routing_tables_rejected(net8):
+    topo_a, table_a = net8
+    topo_b = random_irregular_topology(8, degree=3, hosts_per_switch=2,
+                                       seed=6)
+    table_b = RoutingTable(UpDownRouting(topo_b))
+    with pytest.raises(BatchCompatibilityError,
+                       match="share one RoutingTable"):
+        simulate_batch_vector([_vector_job(table_a, topo_a, 1),
+                               _vector_job(table_b, topo_b, 2)])
+
+
+def test_same_topology_different_table_object_rejected(net8):
+    """Even an equal table is rejected — sharing must be by identity."""
+    topo, table = net8
+    other = RoutingTable(UpDownRouting(topo))
+    with pytest.raises(BatchCompatibilityError, match="job 1"):
+        check_batch_compatible([_vector_job(table, topo, 1),
+                                _vector_job(other, topo, 2)])
+
+
+def test_mixed_virtual_channels_rejected(net8):
+    topo, table = net8
+    with pytest.raises(BatchCompatibilityError, match="virtual_channels"):
+        simulate_batch_vector(
+            [_vector_job(table, topo, 1, virtual_channels=1),
+             _vector_job(table, topo, 2, virtual_channels=2)])

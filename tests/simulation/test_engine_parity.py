@@ -1,14 +1,14 @@
-"""Bit-identical parity between the reference, fast and batch engines.
+"""Bit-identical parity between the reference and fast engines.
 
-The struct-of-arrays kernel (:mod:`repro.simulation.engine_fast`) and the
-many-replication batch kernel (:mod:`repro.simulation.engine_batch`) both
-promise the *same* :class:`~repro.simulation.metrics.SimulationResult`
-payload as the readable reference engine for every configuration — same
-RNG draw order, same arbitration decisions, same statistics, down to the
-last float.  :func:`repro.simulation.engine.canonical_payload` strips only
-the engine-dependent wall-time/observability counters before comparison.
+The struct-of-arrays kernel (:mod:`repro.simulation.engine_fast`)
+promises the *same* :class:`~repro.simulation.metrics.SimulationResult`
+payload as the readable reference engine (the oracle) for every
+configuration — same RNG draw order, same arbitration decisions, same
+statistics, down to the last float.
+:func:`repro.simulation.engine.canonical_payload` strips only the
+engine-dependent wall-time/observability counters before comparison.
 
-Three layers of evidence, each run three-way:
+Three layers of evidence, each run two-way:
 
 - a deterministic 48-scenario matrix (3 irregular topologies ×
   {adaptive, deterministic} × {1, 2} virtual channels × 2 seeds ×
@@ -18,8 +18,8 @@ Three layers of evidence, each run three-way:
   exercising the O(1) tail release), stepwise execution with invariant
   checks, and trace recording.
 
-Batch-specific coverage (composition invariance, heterogeneous batches,
-compatibility errors) lives in ``test_engine_batch.py``.
+The ``vector`` engine is outside this contract; its statistical
+equivalence lives in ``test_engine_equivalence.py``.
 """
 
 from dataclasses import replace
@@ -38,11 +38,11 @@ from repro.simulation.traffic import IntraClusterTraffic, UniformTraffic
 from repro.topology.designed import ring_topology
 from repro.topology.irregular import random_irregular_topology
 
-ENGINES = ("reference", "fast", "batch")
+ENGINES = ("reference", "fast")
 
 
 def _run_all(table, make_traffic, rate, cfg):
-    """Run all three engines on identical inputs -> name -> payload."""
+    """Run both engines on identical inputs -> name -> payload."""
     payloads = {}
     for engine in ENGINES:
         sim = make_simulator(table, make_traffic(), rate,
@@ -61,11 +61,9 @@ def _assert_identical(ref_payload, other_payload, context="", label="fast"):
         pytest.fail(f"engine divergence {context}\n" + "\n".join(diffs))
 
 
-def _assert_three_way(payloads, context=""):
-    """Every engine's payload must equal the reference's, byte for byte."""
-    ref = payloads["reference"]
-    for engine in ENGINES[1:]:
-        _assert_identical(ref, payloads[engine], context, label=engine)
+def _assert_parity(payloads, context=""):
+    """The fast payload must equal the reference's, byte for byte."""
+    _assert_identical(payloads["reference"], payloads["fast"], context)
 
 
 def _small_table(topo_seed):
@@ -96,7 +94,7 @@ class TestParityMatrix:
                 )
                 payloads = _run_all(
                     table, lambda: UniformTraffic(topo), rate, cfg)
-                _assert_three_way(
+                _assert_parity(
                     payloads,
                     f"(topo={topo_seed} adaptive={adaptive} vcs={vcs} "
                     f"seed={seed} rate={rate})",
@@ -113,7 +111,7 @@ class TestParityMatrix:
                                seed=7)
         payloads = _run_all(
             rtable16, lambda: IntraClusterTraffic(mapping), 0.01, cfg)
-        _assert_three_way(payloads, "(intracluster, 16-switch)")
+        _assert_parity(payloads, "(intracluster, 16-switch)")
         assert payloads["reference"]["messages_completed"] > 0
 
 
@@ -148,7 +146,7 @@ def test_parity_property(scenario):
     topo, cfg, rate = scenario
     table = RoutingTable(UpDownRouting(topo))
     payloads = _run_all(table, lambda: UniformTraffic(topo), rate, cfg)
-    _assert_three_way(payloads, f"(hypothesis: {cfg!r}, rate={rate})")
+    _assert_parity(payloads, f"(hypothesis: {cfg!r}, rate={rate})")
 
 
 # --------------------------------------------------------------------- #
@@ -162,7 +160,7 @@ class TestLongMessages:
     With ``message_length >> buffer_flits`` a delivered worm's tail drains
     one channel per cycle for hundreds of cycles; the reference engine
     releases each channel with a deque ``popleft`` and the array kernels
-    with sealed-drain events.  All three must agree exactly.
+    with sealed-drain events.  Both must agree exactly.
     """
 
     @pytest.mark.parametrize("vcs", [1, 2])
@@ -174,7 +172,7 @@ class TestLongMessages:
                                warmup_cycles=0, measure_cycles=4000, seed=3)
         payloads = _run_all(
             table, lambda: UniformTraffic(topo), 0.0005, cfg)
-        _assert_three_way(payloads, f"(long messages, ring, vcs={vcs})")
+        _assert_parity(payloads, f"(long messages, ring, vcs={vcs})")
         ref = payloads["reference"]
         assert ref["messages_completed"] >= 1
         # A 256-flit worm takes at least 256 cycles to drain.
@@ -188,14 +186,14 @@ class TestLongMessages:
                                seed=9)
         payloads = _run_all(
             table, lambda: UniformTraffic(topo), 0.004, cfg)
-        _assert_three_way(payloads, "(long messages, contended)")
+        _assert_parity(payloads, "(long messages, contended)")
         assert payloads["reference"]["messages_completed"] >= 1
 
 
 class TestStepwiseExecution:
     """step() must trace the same trajectory as run(), cycle by cycle."""
 
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @pytest.mark.parametrize("vcs", [1, 2])
     def test_step_matches_run_with_invariants(self, engine, vcs):
         topo, table = _small_table(23)
@@ -230,12 +228,10 @@ class TestStepwiseExecution:
             ref.step()
             if cycle % 50 == 0:
                 ref.check_invariants()
-        for engine in ("fast", "batch"):
-            res = make_simulator(table, UniformTraffic(topo), 0.015,
-                                 replace(cfg, engine=engine)).run()
-            _assert_identical(canonical_payload(ref._result()),
-                              canonical_payload(res),
-                              "(reference stepwise)", label=engine)
+        res = make_simulator(table, UniformTraffic(topo), 0.015,
+                             replace(cfg, engine="fast")).run()
+        _assert_identical(canonical_payload(ref._result()),
+                          canonical_payload(res), "(reference stepwise)")
 
 
 class TestTraceParity:
@@ -255,7 +251,6 @@ class TestTraceParity:
         ref_trace = list(sims["reference"].trace)
         assert len(ref_trace) > 0
         assert list(sims["fast"].trace) == ref_trace
-        assert list(sims["batch"].trace) == ref_trace
 
 
 class TestTracingInertness:
@@ -267,7 +262,7 @@ class TestTracingInertness:
     """
 
     @pytest.mark.parametrize("topo_seed", [11, 23, 37])
-    @pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_results_bit_identical_with_tracing(self, topo_seed, engine):
         topo, table = _small_table(topo_seed)
         for seed in (0, 3):
@@ -315,7 +310,7 @@ class TestTracingInertness:
 class TestObservability:
     """Array-kernel results must carry the perf/observability counters."""
 
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     def test_meta_counters(self, engine):
         topo, table = _small_table(11)
         cfg = SimulationConfig(message_length=16, buffer_flits=2,
@@ -331,7 +326,7 @@ class TestObservability:
                     "arbitration_seconds", "flit_move_seconds"):
             assert res.perf[key] >= 0.0
 
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     def test_quiescence_skips_at_low_rate(self, engine):
         """At a trickle rate most cycles are provably idle and skipped."""
         topo, table = _small_table(23)

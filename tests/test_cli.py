@@ -72,19 +72,12 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "scheduled" in out and "S1 acc" in out and "S2 lat" in out
 
-    def test_engine_batch_flag_matches_fast(self, capsys):
-        """--engine batch runs the sweep batched, same numbers out."""
-        argv = [
-            "simulate", "--switches", "8", "--seed", "1", "--clusters", "2",
-            "--randoms", "0", "--points", "3", "--measure", "300",
-            "--warmup", "100", "--max-rate", "0.01",
-        ]
-        assert main(argv + ["--engine", "fast"]) == 0
-        fast_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert batch_out == fast_out
-        assert "S3 acc" in batch_out
+    def test_batch_engine_is_an_invalid_choice(self, capsys):
+        """The deleted lockstep engine is refused by argparse."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--switches", "8", "--engine", "batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
 
     def test_engine_vector_flag_runs_the_sweep(self, capsys):
         """--engine vector completes the same sweep; numbers may differ
