@@ -1,44 +1,31 @@
 """Checkpoint/resume for long sweeps and multi-start searches.
 
-A :class:`SweepCheckpoint` is an append-only JSONL file recording, per
-completed job of a :func:`repro.parallel.parallel_map` run, the job index
-and its pickled result.  A run that dies — killed process, broken pool,
-exhausted retries — leaves every completed job on disk; re-running with
-the same checkpoint executes only the missing jobs and merges in job
-order, so the resumed run's results are bit-identical to an uninterrupted
-one (the jobs themselves are deterministic by the library's parallel
-contract).
+A :class:`SweepCheckpoint` records, per completed job of a
+:func:`repro.parallel.parallel_map` run, the job index and its pickled
+result.  A run that dies — killed process, broken pool, exhausted
+retries — leaves every completed job on disk; re-running with the same
+checkpoint executes only the missing jobs and merges in job order, so the
+resumed run's results are bit-identical to an uninterrupted one (the jobs
+themselves are deterministic by the library's parallel contract).
 
-Robustness properties:
-
-- the file starts with a header line carrying a caller-supplied ``key``
-  (e.g. a topology fingerprint plus study parameters); resuming against a
-  checkpoint whose key does not match raises :class:`CheckpointMismatch`
-  instead of silently mixing incompatible runs;
-- every record is flushed and fsynced before the job counts as completed,
-  so a kill can lose at most the in-flight job;
-- a truncated trailing line (the classic kill-mid-write artifact) is
-  detected and ignored on load — a resume sees every fully-written record
-  no matter at which byte the writer died;
-- compaction (and initial creation) is crash-safe: the new file is
-  written to a temporary sibling, flushed, fsynced and atomically swapped
-  in with ``os.replace``, and the directory entry is fsynced, so a crash
-  leaves either the old file or the new one, never a torn hybrid (a
-  leftover ``*.tmp`` from a crashed rewrite is ignored and overwritten);
-- the append handle is kept open across records and fsynced again on
-  :meth:`SweepCheckpoint.close` (checkpoints are context managers;
-  ``with SweepCheckpoint(...) as ck:`` closes durably).
+Record format: a :class:`repro.journal.Journal` whose header carries
+``key`` (the caller's identity of the run configuration, e.g. a topology
+fingerprint plus study parameters) and, when known, ``total`` (the sweep
+size); each record is ``{"i": job index, "r": base64(pickle(result))}``
+and is fsynced before the job counts as completed.  Reopening against a
+different ``key`` or ``total`` raises :class:`CheckpointMismatch` instead
+of silently mixing runs.  Creation, torn-tail recovery and durable close
+are the journal's (see :mod:`repro.journal`).
 """
 
 from __future__ import annotations
 
 import base64
-import json
-import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.journal import Journal
 from repro.obs import trace as _trace
 
 PathLike = Union[str, Path]
@@ -51,52 +38,13 @@ class CheckpointMismatch(RuntimeError):
     """The checkpoint on disk belongs to a different run configuration."""
 
 
-def fsync_dir(directory: PathLike) -> None:
-    """fsync a directory so a just-completed rename survives a power cut."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - directories not fsyncable here
-        pass
-    finally:
-        os.close(fd)
-
-
-# Backward-compatible private alias (kept for in-tree callers).
-_fsync_dir = fsync_dir
-
-
-def atomic_write_text(path: PathLike, text: str) -> None:
-    """Replace ``path`` with ``text`` crash-safely: temp + ``os.replace``.
-
-    The new content is written to a temporary sibling, flushed and fsynced,
-    then atomically swapped in; the directory entry is fsynced so the
-    rename itself is durable.  A crash at any byte leaves either the old
-    file or the complete new one — never a torn hybrid.  This is the write
-    discipline shared by :class:`SweepCheckpoint` compaction and the
-    service's write-ahead log (:mod:`repro.service.wal`).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_dir(path.parent)
-
-
 class SweepCheckpoint:
-    """Append-only JSONL record of completed jobs of one sweep.
+    """Append-only record of completed jobs of one sweep.
 
     Parameters
     ----------
     path:
-        Checkpoint file; created (with parents) on first record.
+        Checkpoint file; created (with parents) when missing.
     key:
         Identity of the run configuration.  Loading an existing file with
         a different key raises :class:`CheckpointMismatch`.
@@ -111,27 +59,19 @@ class SweepCheckpoint:
         self.key = str(key)
         self.total = total
         self._results: Dict[int, Any] = {}
-        self._rewrite_needed = False
-        self._fh = None
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
+        self._journal = Journal(self.path, magic=_MAGIC, version=_VERSION,
+                                error=CheckpointMismatch,
+                                kind="repro sweep checkpoint",
+                                short="checkpoint")
+        fields: Dict[str, Any] = {"key": self.key}
+        if total is not None:
+            fields["total"] = int(total)
+        records = self._journal.open(**fields)
+        if records is not None:
+            self._load(self._journal.header, records)
 
-    # ------------------------------------------------------------------ #
-    # loading
-    # ------------------------------------------------------------------ #
-
-    def _load(self) -> None:
-        lines = self.path.read_text().split("\n")
-        header = self._parse_line(lines[0])
-        if header is None or header.get("magic") != _MAGIC:
-            raise CheckpointMismatch(
-                f"{self.path} is not a repro sweep checkpoint"
-            )
-        if header.get("version", 0) > _VERSION:
-            raise CheckpointMismatch(
-                f"{self.path}: checkpoint version {header.get('version')} "
-                f"is newer than supported ({_VERSION})"
-            )
+    def _load(self, header: Dict[str, Any],
+              records: List[Dict[str, Any]]) -> None:
         if header.get("key", "") != self.key:
             raise CheckpointMismatch(
                 f"{self.path} was written for a different run "
@@ -147,94 +87,32 @@ class SweepCheckpoint:
             )
         if self.total is None and header_total is not None:
             self.total = int(header_total)
-        for raw in lines[1:]:
-            if not raw:
-                continue
-            entry = self._parse_line(raw)
-            if entry is None:
-                # Truncated trailing line from a mid-write kill: drop it
-                # (and anything after it) and compact on the next record.
-                self._rewrite_needed = True
-                break
+        for entry in records:
             self._results[int(entry["i"])] = pickle.loads(
                 base64.b64decode(entry["r"])
             )
         _trace.event("checkpoint.load", path=str(self.path),
                      completed=len(self._results), total=self.total,
-                     truncated_tail=self._rewrite_needed)
-
-    @staticmethod
-    def _parse_line(raw: str) -> Optional[Dict[str, Any]]:
-        try:
-            obj = json.loads(raw)
-        except (json.JSONDecodeError, ValueError):
-            return None
-        return obj if isinstance(obj, dict) else None
-
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
+                     truncated_tail=self._journal.truncated_tail)
 
     def record(self, index: int, result: Any) -> None:
         """Persist one completed job durably (flush + fsync)."""
         index = int(index)
         self._results[index] = result
-        if self._rewrite_needed or not self.path.exists():
-            self._rewrite()
-            return
-        if self._fh is None or self._fh.closed:
-            self._fh = open(self.path, "a")
-        self._fh.write(self._entry_line(index, result))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        payload = base64.b64encode(
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        ).decode("ascii")
+        self._journal.append({"i": index, "r": payload}, fsync=True)
 
     def close(self) -> None:
         """Flush, fsync and close the append handle (idempotent)."""
-        if self._fh is not None and not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-        self._fh = None
+        self._journal.close()
 
     def __enter__(self) -> "SweepCheckpoint":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _entry_line(self, index: int, result: Any) -> str:
-        payload = base64.b64encode(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
-        return json.dumps({"i": index, "r": payload}) + "\n"
-
-    def _header_line(self) -> str:
-        header: Dict[str, Any] = {
-            "magic": _MAGIC,
-            "version": _VERSION,
-            "key": self.key,
-        }
-        if self.total is not None:
-            header["total"] = int(self.total)
-        return json.dumps(header) + "\n"
-
-    def _rewrite(self) -> None:
-        """Write the full checkpoint crash-safely: temp + atomic replace.
-
-        A crash at any point leaves either the previous file or the
-        complete new one — never a torn hybrid.  The directory entry is
-        fsynced after the swap so the rename itself is durable.
-        """
-        self.close()
-        lines = [self._header_line()]
-        lines.extend(self._entry_line(index, self._results[index])
-                     for index in sorted(self._results))
-        atomic_write_text(self.path, "".join(lines))
-        self._rewrite_needed = False
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
 
     def completed(self, total: Optional[int] = None) -> Dict[int, Any]:
         """Completed results as ``{job index: result}``.
@@ -270,5 +148,4 @@ class SweepCheckpoint:
         )
 
 
-__all__ = ["CheckpointMismatch", "SweepCheckpoint", "atomic_write_text",
-           "fsync_dir"]
+__all__ = ["CheckpointMismatch", "SweepCheckpoint"]

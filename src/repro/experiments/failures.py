@@ -236,15 +236,15 @@ def run_fault_study(
          scenario, seed, repair_restarts, full_restarts)
         for scenario in scenarios
     ]
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            key=study_checkpoint_key(setup, scenarios, seed),
-            total=len(jobs),
-        )
-    rows = parallel_map(_evaluate_scenario, jobs, workers=workers,
-                        checkpoint=checkpoint)
+    if checkpoint_path is None:
+        rows = parallel_map(_evaluate_scenario, jobs, workers=workers)
+    else:
+        with SweepCheckpoint(
+                checkpoint_path,
+                key=study_checkpoint_key(setup, scenarios, seed),
+                total=len(jobs)) as checkpoint:
+            rows = parallel_map(_evaluate_scenario, jobs, workers=workers,
+                                checkpoint=checkpoint)
     return FaultStudyResult(rows=rows, baseline_c_c=baseline.c_c)
 
 

@@ -159,11 +159,6 @@ def backoff_delay(attempt: int, *, base: float = BACKOFF_BASE,
     return (rng or _backoff_rng).uniform(0.0, ceiling)
 
 
-def _backoff_delay(attempt: int) -> float:
-    """Backward-compatible alias of :func:`backoff_delay` (0-based)."""
-    return backoff_delay(attempt)
-
-
 def _reap(executor: Optional[ProcessPoolExecutor], *, kill: bool) -> None:
     """Shut an executor down and wait for its worker processes to exit.
 
@@ -321,7 +316,7 @@ def _run_serial(fn: Callable[[T], R], job_list: List[T], results: List,
             except Exception as exc:
                 if attempt >= retries:
                     raise
-                delay = _backoff_delay(attempt)
+                delay = backoff_delay(attempt)
                 _trace.event("parallel.job.retry", job=i, mode="serial",
                              attempt=attempt + 1, retries=retries,
                              delay_seconds=delay, error=repr(exc))
@@ -373,7 +368,7 @@ def _run_pool(pool: ProcessPoolExecutor, fn: Callable[[T], R],
             except Exception as exc:
                 if attempts[i] >= retries:
                     raise
-                delay = _backoff_delay(attempts[i])
+                delay = backoff_delay(attempts[i])
                 _trace.event("parallel.job.retry", job=i, mode="pool",
                              attempt=attempts[i] + 1, retries=retries,
                              delay_seconds=delay, error=repr(exc))
@@ -534,31 +529,6 @@ def _warn_fallback(exc: BaseException, missing: int, total: int) -> None:
     )
 
 
-def parallel_starmap(
-    fn: Callable[..., R],
-    jobs: Iterable[tuple],
-    *,
-    workers: WorkersLike = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> List[R]:
-    """:func:`parallel_map` for functions taking positional arguments."""
-    return parallel_map(_StarCall(fn), jobs, workers=workers,
-                        retries=retries, timeout=timeout,
-                        checkpoint=checkpoint)
-
-
-class _StarCall:
-    """Picklable ``fn(*args)`` adapter (lambdas cannot cross process pools)."""
-
-    def __init__(self, fn: Callable[..., R]):
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> R:
-        return self.fn(*args)
-
-
 __all__ = [
     "WorkersLike",
     "WorkerPool",
@@ -570,5 +540,4 @@ __all__ = [
     "detect_workers",
     "resolve_workers",
     "parallel_map",
-    "parallel_starmap",
 ]

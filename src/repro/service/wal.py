@@ -1,33 +1,28 @@
 """Write-ahead journal of accepted-but-unreplied service requests.
 
-The daemon's durability gap before this module: a request could be
-*accepted* (admission passed, the client got no error) and then lost —
-daemon killed with the job still queued or in flight — with no record
-that it ever existed.  :class:`WriteAheadLog` closes the gap with the
-classic WAL discipline:
+Without it a request could be *accepted* (admission passed, the client
+got no error) and then lost when the daemon dies with the job still
+queued or in flight.  :class:`WriteAheadLog` keeps the classic WAL
+discipline on a :class:`repro.journal.Journal`, which owns the file's
+crash safety (atomic creation and compaction, torn-tail drop, durable
+close — see :mod:`repro.journal`).
 
-- **accept record before the reply path commits** — when a submit is
-  admitted, ``{"op": "accept", "fp": ..., "payload": ...}`` is appended
-  and *fsynced* before any reply refers to the request; the daemon
-  replies only to requests the log would survive;
-- **done record after the reply** — once a response (or typed error) has
-  been computed and the stored result is durable in-process, ``{"op":
-  "done", "fp": ...}`` marks the entry settled.  Done records are
-  flushed but not fsynced: losing one is safe — replay re-executes a
-  request that already completed, and the deterministic execution
-  contract (:mod:`repro.service.batch`) makes the replayed reply
-  byte-identical;
-- **replay on restart** — :meth:`WriteAheadLog.pending` returns every
-  accepted-without-done payload in acceptance order; the restarted
-  daemon re-submits them through its normal queue path, so replayed work
-  obeys the same batching/dedup/store rules as live work;
-- **torn-tail tolerance** — a record half-written at the kill instant
-  parses as garbage and is dropped (with everything after it), exactly
-  like :class:`repro.checkpoint.SweepCheckpoint`;
-- **crash-safe compaction** — opening the log rewrites it with settled
-  entries removed via :func:`repro.checkpoint.atomic_write_text`
-  (temp + ``os.replace`` + directory fsync), so the file stays bounded
-  by the in-flight window rather than growing with request count.
+Record format, after a ``{"magic": "repro-service-wal", "version": 1}``
+header:
+
+- ``{"op": "accept", "fp": ..., "payload": ..., "priority": ...}`` —
+  appended and *fsynced* when a submit is admitted, before any reply
+  refers to the request (so a torn accept, which the journal drops,
+  was never replied to);
+- ``{"op": "done", "fp": ...}`` — appended once the reply is computed.
+  Flushed but not fsynced: losing one only replays a request that
+  already completed, and the deterministic execution contract
+  (:mod:`repro.service.batch`) makes the replayed reply byte-identical.
+
+On open, accepts without a later done are folded by fingerprint in
+acceptance order (:meth:`WriteAheadLog.pending`, for replay through the
+normal queue path) and the file is compacted to just those accepts, so
+it stays bounded by the in-flight window.
 
 Appends are serialised through a single-thread executor so the daemon's
 event loop never blocks on ``fsync``: :meth:`append_accept` returns a
@@ -38,14 +33,12 @@ interleaving.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.checkpoint import atomic_write_text, fsync_dir
+from repro.journal import Journal
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
@@ -57,15 +50,6 @@ _VERSION = 1
 
 class WalError(RuntimeError):
     """The file is not a repro service WAL (or is from a newer version)."""
-
-
-def _parse_line(raw: str) -> Optional[Dict[str, Any]]:
-    """One JSONL record, or ``None`` for garbage (torn tail)."""
-    try:
-        obj = json.loads(raw)
-    except (json.JSONDecodeError, ValueError):
-        return None
-    return obj if isinstance(obj, dict) else None
 
 
 class WriteAheadLog:
@@ -81,41 +65,22 @@ class WriteAheadLog:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._writer: Optional[ThreadPoolExecutor] = None
-        self._fh = None
         self._closed = False
         # fp -> (sequence, payload, priority) for accepted-without-done.
         self._pending: Dict[str, Tuple[int, Dict[str, Any], int]] = {}
         self._seq = 0
-        self._recovered = self._load_and_compact()
+        self._journal = Journal(self.path, magic=_MAGIC, version=_VERSION,
+                                error=WalError, kind="repro service WAL",
+                                short="WAL")
+        self._recovered = self._recover()
 
-    # ------------------------------------------------------------------ #
-    # recovery
-    # ------------------------------------------------------------------ #
-
-    def _load_and_compact(self) -> int:
-        """Read the log, keep unsettled entries, rewrite compacted."""
-        if not self.path.exists() or self.path.stat().st_size == 0:
+    def _recover(self) -> int:
+        """Fold the log's records into pending accepts, then compact."""
+        records = self._journal.open()
+        if records is None:
             return 0
-        lines = self.path.read_text().split("\n")
-        header = _parse_line(lines[0])
-        if header is None or header.get("magic") != _MAGIC:
-            raise WalError(f"{self.path} is not a repro service WAL")
-        if header.get("version", 0) > _VERSION:
-            raise WalError(
-                f"{self.path}: WAL version {header.get('version')} is newer "
-                f"than supported ({_VERSION})"
-            )
-        torn = False
         settled = 0
-        for raw in lines[1:]:
-            if not raw:
-                continue
-            record = _parse_line(raw)
-            if record is None:
-                # Torn tail from a mid-write kill: the accept it belonged
-                # to never made it to a client reply either — drop it.
-                torn = True
-                break
+        for record in records:
             op = record.get("op")
             fp = record.get("fp")
             if op == "accept" and isinstance(fp, str):
@@ -128,22 +93,14 @@ class WriteAheadLog:
             elif op == "done" and isinstance(fp, str):
                 if self._pending.pop(fp, None) is not None:
                     settled += 1
-        self._compact()
+        if records:
+            self._journal.rewrite([
+                _accept_record(it["fp"], it["payload"], it["priority"])
+                for it in self.pending()])
         _trace.event("service.wal.recovered", path=str(self.path),
                      pending=len(self._pending), settled=settled,
-                     truncated_tail=torn)
+                     truncated_tail=self._journal.truncated_tail)
         return len(self._pending)
-
-    def _compact(self) -> None:
-        """Rewrite the log with only unsettled accepts (crash-safe)."""
-        lines = [json.dumps({"magic": _MAGIC, "version": _VERSION}) + "\n"]
-        for fp, (_, payload, priority) in sorted(
-                self._pending.items(), key=lambda kv: kv[1][0]):
-            lines.append(json.dumps(
-                {"op": "accept", "fp": fp, "payload": payload,
-                 "priority": priority},
-                sort_keys=True) + "\n")
-        atomic_write_text(self.path, "".join(lines))
 
     def pending(self) -> List[Dict[str, Any]]:
         """Unsettled requests in acceptance order, for replay.
@@ -177,17 +134,15 @@ class WriteAheadLog:
         on disk.  Duplicate fingerprints overwrite bookkeeping (dedup makes
         them the same request) but still append — replay folds them.
         """
+        payload = dict(payload)
         with self._lock:
             if self._closed:
                 raise WalError(f"{self.path}: WAL is closed")
             self._seq += 1
-            self._pending[fp] = (self._seq, dict(payload), int(priority))
-        line = json.dumps(
-            {"op": "accept", "fp": fp, "payload": payload,
-             "priority": int(priority)},
-            sort_keys=True) + "\n"
+            self._pending[fp] = (self._seq, payload, int(priority))
         _metrics.inc("service.wal.accepts")
-        return self._submit(line, fsync=True)
+        return self._submit(_accept_record(fp, payload, priority),
+                            fsync=True)
 
     def append_done(self, fp: str) -> "Future[None]":
         """Mark a request settled (replied).  Flushed, not fsynced.
@@ -199,32 +154,20 @@ class WriteAheadLog:
             if self._closed:
                 return _done_future()
             self._pending.pop(fp, None)
-        line = json.dumps({"op": "done", "fp": fp}, sort_keys=True) + "\n"
         _metrics.inc("service.wal.dones")
-        return self._submit(line, fsync=False)
+        return self._submit({"op": "done", "fp": fp}, fsync=False)
 
-    def _submit(self, line: str, *, fsync: bool) -> "Future[None]":
+    def _submit(self, record: Dict[str, Any], *,
+                fsync: bool) -> "Future[None]":
         with self._lock:
             if self._closed:
                 return _done_future()
             if self._writer is None:
                 self._writer = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="repro-wal")
-            return self._writer.submit(self._write, line, fsync)
-
-    def _write(self, line: str, fsync: bool) -> None:
-        """Runs on the single writer thread — appends stay ordered."""
-        if self._fh is None or self._fh.closed:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = open(self.path, "a")
-            if fresh:
-                self._fh.write(json.dumps(
-                    {"magic": _MAGIC, "version": _VERSION}) + "\n")
-        self._fh.write(line)
-        self._fh.flush()
-        if fsync:
-            os.fsync(self._fh.fileno())
+            # One writer thread does every append, so records stay ordered.
+            return self._writer.submit(self._journal.append, record,
+                                       fsync=fsync)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -239,12 +182,7 @@ class WriteAheadLog:
             writer, self._writer = self._writer, None
         if writer is not None:
             writer.shutdown(wait=True)
-        if self._fh is not None and not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            fsync_dir(self.path.parent)
-        self._fh = None
+        self._journal.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -268,6 +206,12 @@ class WriteAheadLog:
     def __repr__(self) -> str:
         return (f"WriteAheadLog(path={str(self.path)!r}, "
                 f"pending={len(self)})")
+
+
+def _accept_record(fp: str, payload: Dict[str, Any],
+                   priority: int) -> Dict[str, Any]:
+    return {"op": "accept", "fp": fp, "payload": payload,
+            "priority": int(priority)}
 
 
 def _done_future() -> "Future[None]":

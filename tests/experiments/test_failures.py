@@ -1,5 +1,8 @@
 """Tests for the fault-injection study (new driver and legacy view)."""
 
+import gc
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,6 +211,19 @@ class TestFaultStudy:
                                   checkpoint_path=path)
         assert first.deterministic_payload() == resumed.deterministic_payload()
         assert resumed.deterministic_payload() == k2_study.deterministic_payload()
+
+    def test_checkpoint_file_is_closed(self, small_setup, k2_scenarios,
+                                       tmp_path):
+        path = str(tmp_path / "faults.jsonl")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_fault_study(small_setup, k2_scenarios, seed=1,
+                            checkpoint_path=path)
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)
+                 and path in str(w.message)]
+        assert leaks == []
 
     def test_render_mentions_survivable_and_tradeoff(self, k2_study):
         out = render_fault_study(k2_study)

@@ -68,22 +68,6 @@ class TestMismatch:
             SweepCheckpoint(path, key="k")
 
 
-class TestTruncation:
-    def test_truncated_trailing_line_dropped(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        ck = SweepCheckpoint(path, key="k")
-        ck.record(0, 10)
-        ck.record(1, 20)
-        # Simulate a kill mid-write: chop the last record in half.
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) - 12])
-        ck2 = SweepCheckpoint(path, key="k")
-        assert ck2.completed() == {0: 10}
-        # The next record compacts the file; nothing is lost after that.
-        ck2.record(1, 20)
-        assert SweepCheckpoint(path, key="k").completed() == {0: 10, 1: 20}
-
-
 _KILLED_SWEEP_SCRIPT = """
 import os, sys
 sys.path.insert(0, {src!r})
@@ -136,65 +120,3 @@ class TestKillAndResume:
 
 def _refuse(x):
     raise AssertionError("resumed run re-executed a completed job")
-
-
-class TestTornWriteRecovery:
-    def test_every_truncation_point_recovers(self, tmp_path):
-        # Exhaustive torn-write sweep: kill the writer at EVERY byte
-        # offset inside the last record; each prefix must load cleanly
-        # and see exactly the fully-written records.
-        path = tmp_path / "ck.jsonl"
-        with SweepCheckpoint(path, key="torn") as ck:
-            ck.record(0, {"a": 1})
-            ck.record(1, {"b": 2})
-        raw = path.read_bytes()
-        lines = raw.decode().splitlines(keepends=True)
-        second_record_start = len((lines[0] + lines[1]).encode())
-        # Stop before len(raw) - 1: losing only the final newline leaves a
-        # complete, parseable record, which is correctly kept.
-        for cut in range(second_record_start, len(raw) - 1):
-            path.write_bytes(raw[:cut])
-            recovered = SweepCheckpoint(path, key="torn")
-            assert recovered.completed() == {0: {"a": 1}}, f"cut at {cut}"
-        path.write_bytes(raw[:-1])
-        assert SweepCheckpoint(path, key="torn").completed() \
-            == {0: {"a": 1}, 1: {"b": 2}}
-
-    def test_recovery_then_write_compacts_and_is_durable(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        with SweepCheckpoint(path, key="torn") as ck:
-            ck.record(0, 1)
-            ck.record(1, 2)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])          # torn tail
-        with SweepCheckpoint(path, key="torn") as ck2:
-            ck2.record(1, 2)                # triggers crash-safe rewrite
-            ck2.record(2, 3)
-        final = SweepCheckpoint(path, key="torn")
-        assert final.completed() == {0: 1, 1: 2, 2: 3}
-        # Every line in the compacted file parses (no torn hybrid).
-        for line in path.read_text().splitlines():
-            json.loads(line)
-
-    def test_leftover_tmp_from_crashed_rewrite_is_ignored(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        tmp = tmp_path / "ck.jsonl.tmp"
-        tmp.write_text("garbage from a rewrite that died pre-replace\n")
-        with SweepCheckpoint(path, key="k") as ck:
-            ck.record(0, 7)
-        assert SweepCheckpoint(path, key="k").completed() == {0: 7}
-        assert not tmp.exists()             # rewrite path reclaims the name
-
-    def test_context_manager_closes_the_append_handle(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        with SweepCheckpoint(path, key="k") as ck:
-            ck.record(0, 1)       # first record: crash-safe file creation
-            ck.record(1, 5)       # second: durable append, handle kept open
-            assert ck._fh is not None and not ck._fh.closed
-        assert ck._fh is None
-        ck.close()                           # idempotent
-        # Reopen and append: the handle is lazily recreated.
-        with SweepCheckpoint(path, key="k") as ck2:
-            ck2.record(2, 2)
-        assert SweepCheckpoint(path, key="k").completed() \
-            == {0: 1, 1: 5, 2: 2}

@@ -15,21 +15,15 @@ import random
 from repro.parallel import (
     WORKERS_ENV,
     JobTimeoutError,
-    _backoff_delay,
     backoff_delay,
     detect_workers,
     parallel_map,
-    parallel_starmap,
     resolve_workers,
 )
 
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 def _mark_and_square(job):
@@ -128,11 +122,6 @@ class TestParallelMap:
     def test_exceptions_propagate(self, workers):
         with pytest.raises(ValueError):
             parallel_map(int, ["1", "nope", "3"], workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_starmap(self, workers):
-        jobs = [(1, 2), (3, 4), (5, 6)]
-        assert parallel_starmap(_add, jobs, workers=workers) == [3, 7, 11]
 
     def test_serial_and_parallel_identical(self):
         jobs = list(range(20))
