@@ -68,6 +68,22 @@ class TestMismatch:
             SweepCheckpoint(path, key="k")
 
 
+class TestTruncation:
+    def test_truncated_trailing_line_dropped(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        ck = SweepCheckpoint(path, key="k")
+        ck.record(0, 10)
+        ck.record(1, 20)
+        # Simulate a kill mid-write: chop the last record in half.
+        raw = path.read_text()
+        path.write_text(raw[: len(raw) - 12])
+        ck2 = SweepCheckpoint(path, key="k")
+        assert ck2.completed() == {0: 10}
+        # The next record compacts the file; nothing is lost after that.
+        ck2.record(1, 20)
+        assert SweepCheckpoint(path, key="k").completed() == {0: 10, 1: 20}
+
+
 _KILLED_SWEEP_SCRIPT = """
 import os, sys
 sys.path.insert(0, {src!r})
@@ -120,3 +136,21 @@ class TestKillAndResume:
 
 def _refuse(x):
     raise AssertionError("resumed run re-executed a completed job")
+
+
+class TestTornWriteRecovery:
+    def test_recovery_then_write_compacts_and_is_durable(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        with SweepCheckpoint(path, key="torn") as ck:
+            ck.record(0, 1)
+            ck.record(1, 2)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-5])          # torn tail
+        with SweepCheckpoint(path, key="torn") as ck2:
+            ck2.record(1, 2)                # triggers crash-safe rewrite
+            ck2.record(2, 3)
+        final = SweepCheckpoint(path, key="torn")
+        assert final.completed() == {0: 1, 1: 2, 2: 3}
+        # Every line in the compacted file parses (no torn hybrid).
+        for line in path.read_text().splitlines():
+            json.loads(line)
