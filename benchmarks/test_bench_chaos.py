@@ -12,8 +12,9 @@ self-healing tier rather than raw speed:
   the daemon sheds them with typed ``degraded`` + ``retry_after`` errors
   (overload protection must be cheap), confirming ``ping`` stays live.
 
-Writes ``benchmarks/BENCH_chaos.json``; the CI ``chaos-smoke`` job
-schema-validates it.
+Writes ``benchmarks/BENCH_chaos.json``.  The assertions below are the
+only gate: a restart per kill, a ``retry_after`` on every reject and a
+live ``ping``.  Recovery latency is recorded, not bounded.
 """
 
 import json

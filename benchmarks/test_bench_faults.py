@@ -2,8 +2,8 @@
 
 Runs the fault-injection study on the paper's 16-switch network — every
 single-link failure (k=1) plus sampled k=2 and k=3 multi-fault scenarios
-(switch faults included) — and writes the repair-vs-full-reschedule
-quality/time tradeoff per fault count to ``benchmarks/BENCH_faults.json``.
+(switch faults included) — and archives each study's rendering as
+``benchmarks/output/fault_injection_k{1,2,3}.txt``.
 
 The headline numbers: warm-start repair reaches the same C_c floor as a
 full multi-start reschedule on almost every survivable scenario at a
@@ -11,16 +11,11 @@ fraction of the search time, and every partitioning scenario degrades to a
 per-component schedule instead of an error.
 """
 
-import json
-import time
-from pathlib import Path
-
 from conftest import run_once
 
 from repro.experiments.failures import render_fault_study, run_fault_study
 from repro.faults.model import sample_fault_scenarios, single_link_scenarios
 
-BENCH_PATH = Path(__file__).parent / "BENCH_faults.json"
 SEED = 1
 SAMPLES = 6
 
@@ -32,54 +27,15 @@ def _scenarios_for(topology, k):
                                   seed=SEED, include_switches=True)
 
 
-def _summarize(k, res, seconds):
-    surv = res.survivable
-    repair_s = sum(r.repair_seconds for r in surv)
-    full_s = sum(r.reschedule_seconds for r in surv)
-    gaps = [r.repair_gap for r in surv if r.repair_gap is not None]
-    return {
-        "faults": k,
-        "scenarios": len(res.rows),
-        "survivable": len(surv),
-        "partitioned": len(res.partitioned),
-        "degraded_mode": len(res.degraded_mode),
-        "repair_seconds": round(repair_s, 4),
-        "reschedule_seconds": round(full_s, 4),
-        "repair_speedup": round(full_s / repair_s, 3) if repair_s else None,
-        "mean_repair_gap": round(sum(gaps) / len(gaps), 6) if gaps else None,
-        "max_repair_gap": round(max(gaps), 6) if gaps else None,
-        "study_seconds": round(seconds, 4),
-        "repair_ok": res.all_survivable_repaired_ok(),
-    }
-
-
 def test_bench_faults(benchmark, setup16, record):
     def study(k):
-        scenarios = _scenarios_for(setup16.topology, k)
-        t0 = time.perf_counter()
-        res = run_fault_study(setup16, scenarios, seed=SEED)
-        return res, time.perf_counter() - t0
+        return run_fault_study(setup16, _scenarios_for(setup16.topology, k),
+                               seed=SEED)
 
-    res1, sec1 = run_once(benchmark, lambda: study(1))
-    record("fault_injection_k1", render_fault_study(res1))
-    summaries = [_summarize(1, res1, sec1)]
-    for k in (2, 3):
-        res, sec = study(k)
-        record(f"fault_injection_k{k}", render_fault_study(res))
-        summaries.append(_summarize(k, res, sec))
-
-    for s in summaries:
-        assert s["repair_ok"], \
-            f"k={s['faults']}: a repaired mapping fell below the degraded one"
-    assert summaries[0]["survivable"] == summaries[0]["scenarios"], \
+    res1 = run_once(benchmark, lambda: study(1))
+    assert len(res1.survivable) == len(res1.rows), \
         "the 3-regular evaluation network must survive any single-link failure"
-
-    payload = {
-        "benchmark": "faults",
-        "topology": setup16.topology.name,
-        "seed": SEED,
-        "samples_per_k": SAMPLES,
-        "by_fault_count": summaries,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n{json.dumps(payload, indent=2)}\n[written to {BENCH_PATH.name}]")
+    for k, res in ((1, res1), (2, study(2)), (3, study(3))):
+        record(f"fault_injection_k{k}", render_fault_study(res))
+        assert res.all_survivable_repaired_ok(), \
+            f"k={k}: a repaired mapping fell below the degraded one"

@@ -49,8 +49,8 @@ CRASH_EXIT_CODE = 13
 class ChaoticExecutor:
     """A picklable batch executor that injects planned faults.
 
-    Drop-in for ``ServiceConfig.executor``: called as ``(seq, payloads,
-    cold)`` with the daemon's batch sequence number.  When ``plan``
+    Drop-in for ``ServiceConfig.executor``: called as ``(seq, payloads)``
+    with the daemon's batch sequence number.  When ``plan``
     holds an action for ``seq`` — and its once-latch (a file created
     ``O_CREAT | O_EXCL`` under ``latch_dir``) is won — the action fires
     *in the worker process*:
@@ -88,8 +88,8 @@ class ChaoticExecutor:
         os.close(fd)
         return True
 
-    def __call__(self, seq: int, payloads: List[Dict[str, Any]],
-                 cold: bool) -> List[Dict[str, Any]]:
+    def __call__(self, seq: int,
+                 payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Run one batch, injecting the planned fault for ``seq`` first."""
         action = self.plan.get(int(seq))
         if action is not None and self._claim(seq):
@@ -102,7 +102,7 @@ class ChaoticExecutor:
                     f"chaos: injected worker error on batch {seq}")
             elif action.kind == "slow":
                 time.sleep(action.delay)
-        return execute_batch(payloads, cold)
+        return execute_batch(payloads)
 
 
 def kill_workers(pool: WorkerPool, *, sig: int = signal.SIGKILL) -> int:

@@ -283,9 +283,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the scheduling service until interrupted (``repro serve``)."""
     from repro.service import AdmissionPolicy, ServiceConfig, run_service
 
-    if args.wal and args.no_dedup:
-        raise SystemExit("--wal requires deduplication; drop --no-dedup "
-                         "(replay rides the store/in-flight dedup path)")
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -295,8 +292,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_window=args.batch_window,
         store_ttl=args.store_ttl if args.store_ttl > 0 else None,
         admission=AdmissionPolicy(max_switches=args.max_switches),
-        batching=not args.no_batching,
-        dedup=not args.no_dedup,
         request_deadline=args.deadline if args.deadline > 0 else None,
         max_redispatch=args.max_redispatch,
         heartbeat_interval=args.heartbeat if args.heartbeat > 0 else None,
@@ -712,7 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="fast",
                    choices=list(ENGINE_NAMES),
                    help="simulator engine for the fig3/fig5 sweeps "
-                        "(results are engine-independent)")
+                        "('reference'/'fast' are bit-identical; 'vector' "
+                        "is the many-seed kernel under the "
+                        "statistical-equivalence contract)")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="also write the fig3/fig5 sweeps as a "
                         "self-contained HTML report")
@@ -745,10 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 300)")
     p.add_argument("--max-switches", type=int, default=256,
                    help="admission bound on topology size (default: 256)")
-    p.add_argument("--no-batching", action="store_true",
-                   help="dispatch one request per pool job")
-    p.add_argument("--no-dedup", action="store_true",
-                   help="disable the result store and request coalescing")
     p.add_argument("--wal", metavar="PATH", default=None,
                    help="journal accepted requests to PATH and replay "
                         "unfinished ones on the next start (crash safety)")

@@ -28,7 +28,7 @@ Layers (one module each):
 - :mod:`~repro.service.server` — the daemon tying it all to a persistent
   :class:`repro.parallel.WorkerPool`;
 - :mod:`~repro.service.client` — the blocking client the CLI and the
-  load bench use, with transparent reconnect for idempotent ops.
+  benchmarks use, with transparent reconnect for idempotent ops.
 
 The invariant the chaos harness (:mod:`repro.chaos`) enforces across all
 of it: every accepted request terminates with a byte-identical correct

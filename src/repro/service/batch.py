@@ -18,11 +18,6 @@ Determinism: :func:`execute_request` is a pure function of the request
 payload.  The solo path is literally ``execute_batch([payload])``, so a
 request's canonical response dict is byte-identical whether it was served
 alone, coalesced into a batch, or replayed from the store.
-
-``cold=True`` reproduces the pre-service world for the load-test bench:
-the process-local caches are cleared before every request, so each one
-pays full topology/routing/table construction — the "one-shot CLI run"
-baseline the service exists to beat.
 """
 
 from __future__ import annotations
@@ -31,11 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.scheduler import CommunicationAwareScheduler
-from repro.distance.cache import (
-    cached_routing_table,
-    configure_cache,
-    topology_fingerprint,
-)
+from repro.distance.cache import cached_routing_table, topology_fingerprint
 from repro.faults.degrade import degrade
 from repro.faults.reschedule import schedule_degraded
 from repro.service.protocol import (
@@ -82,13 +73,12 @@ class BatchGroup:
         return [entry[0].payload for entry in self.entries]
 
 
-def plan_batches(jobs: List["Job"], *, dedup: bool = True) -> List[BatchGroup]:
+def plan_batches(jobs: List["Job"]) -> List[BatchGroup]:
     """Group a drained queue batch by topology, dedup identical requests.
 
     Order-preserving on first occurrence (groups appear in the order their
     first job arrived; entries likewise), so planning is deterministic for
-    a given arrival order.  With ``dedup=False`` every job becomes its own
-    entry — the naive baseline mode.
+    a given arrival order.
     """
     groups: Dict[str, BatchGroup] = {}
     index: Dict[str, List["Job"]] = {}
@@ -97,14 +87,11 @@ def plan_batches(jobs: List["Job"], *, dedup: bool = True) -> List[BatchGroup]:
         group = groups.get(topo_fp)
         if group is None:
             group = groups[topo_fp] = BatchGroup(topology_fp=topo_fp)
-        if dedup:
-            entry = index.get(job.fingerprint)
-            if entry is not None:
-                entry.append(job)
-                continue
-        entry = [job]
-        if dedup:
-            index[job.fingerprint] = entry
+        entry = index.get(job.fingerprint)
+        if entry is not None:
+            entry.append(job)
+            continue
+        entry = index[job.fingerprint] = [job]
         group.entries.append(entry)
     return list(groups.values())
 
@@ -113,15 +100,11 @@ def plan_batches(jobs: List["Job"], *, dedup: bool = True) -> List[BatchGroup]:
 # execution (worker side)
 # --------------------------------------------------------------------- #
 
-def execute_request(payload: Dict[str, Any], *,
-                    cold: bool = False) -> Dict[str, Any]:
+def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one request payload; returns the canonical response dict.
 
-    Pure: output depends only on ``payload``.  ``cold`` clears the
-    process-local table caches first (bench baseline; see module docs).
+    Pure: output depends only on ``payload``.
     """
-    if cold:
-        configure_cache(clear=True)
     req = payload if isinstance(payload, ScheduleRequest) \
         else ScheduleRequest.from_dict(payload)
     fingerprint = req.fingerprint()
@@ -147,15 +130,14 @@ def execute_request(payload: Dict[str, Any], *,
     ).to_dict()
 
 
-def execute_batch(payloads: List[Dict[str, Any]],
-                  cold: bool = False) -> List[Dict[str, Any]]:
+def execute_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Execute a planned batch (requests sharing a topology), in order.
 
     The first request warms the process-local distance/routing caches;
     the rest of the batch reuses them.  Top-level and picklable — this is
     the function the service submits to its persistent worker pool.
     """
-    return [execute_request(p, cold=cold) for p in payloads]
+    return [execute_request(p) for p in payloads]
 
 
 def _execute_degraded(req: ScheduleRequest,

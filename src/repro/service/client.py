@@ -2,8 +2,8 @@
 
 A thin synchronous wrapper over the newline-JSON protocol — one socket,
 one request/reply in flight at a time — used by ``repro submit`` /
-``repro status``, the test suite and the load bench (which opens one
-client per simulated user).
+``repro status``, the test suite and the ``service-16sw`` benchmark
+workload (which opens one client per simulated user).
 
 Server-side rejections surface as :class:`ServiceError` carrying the
 envelope's error ``code`` (``backpressure``, ``rejected``, ``bad-request``,

@@ -91,8 +91,8 @@ class ServiceStartupError(RuntimeError):
     """The daemon failed to come up (bind failure, startup hang, …)."""
 
 
-def _default_executor(seq: int, payloads: List[Dict[str, Any]],
-                      cold: bool) -> List[Dict[str, Any]]:
+def _default_executor(seq: int,
+                      payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """The production batch executor: :func:`execute_batch`, seq ignored.
 
     The ``seq`` argument is the daemon's monotonically increasing batch
@@ -101,7 +101,7 @@ def _default_executor(seq: int, payloads: List[Dict[str, Any]],
     fault plan on it.  Must stay a top-level function — it crosses the
     process-pool pickle boundary.
     """
-    return execute_batch(payloads, cold)
+    return execute_batch(payloads)
 
 
 def _swallow_future_exception(future: "asyncio.Future") -> None:
@@ -112,14 +112,7 @@ def _swallow_future_exception(future: "asyncio.Future") -> None:
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one service instance.
-
-    ``batching=False`` dispatches one request per pool job and
-    ``dedup=False`` disables both the store and in-flight coalescing;
-    together with ``cold=True`` (clear worker caches per request) they
-    form the naive one-request-one-run baseline the load bench compares
-    against.
-    """
+    """Tunables of one service instance."""
 
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT          # 0 = ephemeral (tests/bench)
@@ -131,9 +124,6 @@ class ServiceConfig:
     store_size: int = 1024
     max_inflight_batches: Optional[int] = None   # None → 2 × workers
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    batching: bool = True
-    dedup: bool = True
-    cold: bool = False                # bench baseline: per-request cache clear
     # --- self-healing knobs (PR 7) ---------------------------------- #
     request_deadline: Optional[float] = None   # s per batch attempt; None=off
     max_redispatch: int = 2           # crash re-dispatch budget per batch
@@ -144,7 +134,7 @@ class ServiceConfig:
     wal_path: Optional[Union[str, Path]] = None  # accepted-request journal
     # --- operator console (PR 9) ------------------------------------ #
     console_port: Optional[int] = None  # HTTP console; None=off, 0=ephemeral
-    executor: Callable[[int, List[Dict[str, Any]], bool],
+    executor: Callable[[int, List[Dict[str, Any]]],
                        List[Dict[str, Any]]] = _default_executor
 
 
@@ -238,15 +228,10 @@ class SchedulerService:
         futures: results land in the store (and settle the journal) just
         like live traffic, so a client re-asking for a fingerprint its
         killed daemon had accepted gets the byte-identical reply from
-        the store.  Requires ``dedup`` (the store *is* the redelivery
-        channel); replay is skipped — with a warning event — without it.
+        the store.
         """
         pending = self.wal.pending()
         if not pending:
-            return
-        if not self.config.dedup:
-            _trace.event("service.wal.replay_skipped",
-                         reason="dedup disabled", pending=len(pending))
             return
         loop = asyncio.get_running_loop()
         replayed = 0
@@ -340,16 +325,15 @@ class SchedulerService:
 
     async def _dispatch_loop(self) -> None:
         cfg = self.config
-        max_batch = cfg.max_batch if cfg.batching else 1
-        window = cfg.batch_window if cfg.batching else 0.0
         while True:
             await self._group_sem.acquire()   # capacity before popping work
             try:
-                jobs = await self.queue.get_batch(max_batch, window)
+                jobs = await self.queue.get_batch(cfg.max_batch,
+                                                  cfg.batch_window)
             except BaseException:
                 self._group_sem.release()
                 raise
-            groups = plan_batches(jobs, dedup=cfg.dedup)
+            groups = plan_batches(jobs)
             for i, group in enumerate(groups):
                 if i > 0:                      # first group uses the held slot
                     await self._group_sem.acquire()
@@ -386,8 +370,7 @@ class SchedulerService:
                         job.future.set_exception(exc)
             return
         for entry, result in zip(group.entries, results):
-            if self.config.dedup:
-                self.store.put(entry[0].fingerprint, result)
+            self.store.put(entry[0].fingerprint, result)
             self._wal_done(entry[0].fingerprint)
             for job in entry:
                 if not job.future.done():
@@ -408,7 +391,7 @@ class SchedulerService:
         """
         self._batch_seq += 1
         return await self.supervisor.run(
-            self.config.executor, self._batch_seq, payloads, self.config.cold)
+            self.config.executor, self._batch_seq, payloads)
 
     # -------------------------------------------------------------- #
     # connection handling
@@ -485,25 +468,21 @@ class SchedulerService:
         self._counters["requests"] += 1
         with _trace.span("service.request", fingerprint=fingerprint[:12],
                          method=request.method) as sp:
-            if self.config.dedup:
-                stored = self.store.get(fingerprint)
-                if stored is not None:
-                    self._counters["served_store"] += 1
-                    sp.set(served="store")
-                    return ok_envelope(result=stored,
-                                       served={"from": "store"})
-                pending = self._inflight.get(fingerprint)
-                if pending is not None:
-                    # Fold onto the pending job, but reply no sooner than
-                    # its accept record is durable.
-                    if pending.accepted is not None:
-                        await asyncio.shield(pending.accepted)
-                    if not wait:
-                        return ok_envelope(ticket=fingerprint,
-                                           status="pending")
-                    sp.set(served="inflight")
-                    return await self._await_future(pending.future,
-                                                    "inflight")
+            stored = self.store.get(fingerprint)
+            if stored is not None:
+                self._counters["served_store"] += 1
+                sp.set(served="store")
+                return ok_envelope(result=stored, served={"from": "store"})
+            pending = self._inflight.get(fingerprint)
+            if pending is not None:
+                # Fold onto the pending job, but reply no sooner than its
+                # accept record is durable.
+                if pending.accepted is not None:
+                    await asyncio.shield(pending.accepted)
+                if not wait:
+                    return ok_envelope(ticket=fingerprint, status="pending")
+                sp.set(served="inflight")
+                return await self._await_future(pending.future, "inflight")
             try:
                 self.config.admission.check(request)
             except AdmissionError as exc:
@@ -543,13 +522,12 @@ class SchedulerService:
                 if not victim.future.done():
                     victim.future.set_exception(ShedError(
                         "evicted by a higher-priority request; retry later"))
-            if self.config.dedup:
-                # Register at admission, before the WAL await, so
-                # concurrent duplicates fold onto this job instead of
-                # being queued and journaled again.
-                self._inflight[fingerprint] = job
-                future.add_done_callback(
-                    lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
+            # Register at admission, before the WAL await, so concurrent
+            # duplicates fold onto this job instead of being queued and
+            # journaled again.
+            self._inflight[fingerprint] = job
+            future.add_done_callback(
+                lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
             # Journal *after* the queue admitted the job but *before* any
             # reply: a request is only observably accepted once the client
             # hears back, and by then the accept record is fsync-durable.
@@ -628,16 +606,10 @@ class SchedulerService:
         stored = self.store.get(ticket)
         if stored is not None:
             return ok_envelope(result=stored, served={"from": "store"})
-        if ticket in self._inflight or self._queued(ticket):
+        if ticket in self._inflight:
             return ok_envelope(ticket=ticket, status="pending")
         return error_envelope("unknown-ticket",
                               f"no stored or pending result for {ticket!r}")
-
-    def _queued(self, fingerprint: str) -> bool:
-        # Without dedup there is no in-flight table; a queued job is still
-        # "pending" from the client's point of view.
-        return any(job.fingerprint == fingerprint
-                   for _, _, job in getattr(self.queue, "_queue")._queue)
 
     # -------------------------------------------------------------- #
     # status
@@ -801,7 +773,7 @@ def run_service(config: Optional[ServiceConfig] = None, *,
 def running_service(config: Optional[ServiceConfig] = None):
     """Run a service on a background thread; yields it with ``.address``.
 
-    The harness used by tests, the CI smoke job and the load bench::
+    The harness used by tests and the chaos benchmark::
 
         with running_service(ServiceConfig(port=0)) as service:
             host, port = service.address

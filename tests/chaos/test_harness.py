@@ -36,14 +36,14 @@ class TestChaoticExecutor:
                                                     payloads):
         executor = ChaoticExecutor(error_at(1), str(tmp_path / "latch"))
         with pytest.raises(RuntimeError, match="chaos"):
-            executor(1, payloads, False)
+            executor(1, payloads)
         # Same seq again: the latch is claimed, the batch runs clean.
-        results = executor(1, payloads, False)
+        results = executor(1, payloads)
         assert [r["seed"] for r in results] == [1, 2]
 
     def test_unplanned_seqs_execute_normally(self, tmp_path, payloads):
         executor = ChaoticExecutor(error_at(1), str(tmp_path / "latch"))
-        results = executor(2, payloads, False)
+        results = executor(2, payloads)
         assert results == [execute_request(p) for p in payloads]
 
     def test_once_false_fires_every_attempt(self, tmp_path, payloads):
@@ -51,12 +51,12 @@ class TestChaoticExecutor:
                                    once=False)
         for _ in range(3):
             with pytest.raises(RuntimeError, match="chaos"):
-                executor(1, payloads, False)
+                executor(1, payloads)
 
     def test_slow_fault_still_completes_correctly(self, tmp_path, payloads):
         executor = ChaoticExecutor(slow_at(1, delay=0.05),
                                    str(tmp_path / "latch"))
-        assert executor(1, payloads, False) \
+        assert executor(1, payloads) \
             == [execute_request(p) for p in payloads]
 
     def test_executor_is_picklable(self, tmp_path):

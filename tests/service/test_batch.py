@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.core.scheduler import CommunicationAwareScheduler
+from repro.distance.cache import configure_cache
 from repro.faults.model import FaultScenario
 from repro.service.batch import execute_batch, execute_request, plan_batches
 from repro.service.protocol import SimulateSpec, build_search
@@ -50,11 +51,6 @@ class TestPlanBatches:
         assert group.unique == 2
         assert len(group.payloads()) == 2
 
-    def test_dedup_off_keeps_every_job_separate(self, make_request):
-        jobs = _jobs([make_request(seed=1), make_request(seed=1)])
-        (group,) = plan_batches(jobs, dedup=False)
-        assert group.unique == 2
-
     def test_planning_is_order_preserving(self, make_request):
         jobs = _jobs([make_request(seed=s) for s in (3, 1, 2)])
         (group,) = plan_batches(jobs)
@@ -73,7 +69,10 @@ class TestExecutionDeterminism:
         payloads = [r.to_dict() for r in reqs]
         batched = execute_batch(payloads)
         solo = [execute_batch([p])[0] for p in payloads]
-        cold = [execute_request(p, cold=True) for p in payloads]
+        cold = []
+        for p in payloads:
+            configure_cache(clear=True)
+            cold.append(execute_request(p))
         for a, b, c in zip(batched, solo, cold):
             blob = lambda d: json.dumps(d, sort_keys=True)  # noqa: E731
             assert blob(a) == blob(b) == blob(c)
@@ -112,7 +111,8 @@ class TestDegradedExecution:
         req = make_request(
             faults=FaultScenario(links=(service_topo.links[1],)))
         a = execute_request(req.to_dict())
-        b = execute_request(req.to_dict(), cold=True)
+        configure_cache(clear=True)
+        b = execute_request(req.to_dict())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -130,7 +130,8 @@ class TestSimulation:
         req = make_request(
             simulate=SimulateSpec(points=2, warmup=10, measure=30))
         a = execute_request(req.to_dict())
-        b = execute_request(req.to_dict(), cold=True)
+        configure_cache(clear=True)
+        b = execute_request(req.to_dict())
         assert a["simulation"] == b["simulation"]
 
     def test_vector_engine_request_is_deterministic(self, make_request):

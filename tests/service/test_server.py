@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -34,6 +35,17 @@ def fast_config(**overrides) -> ServiceConfig:
 
 def canon(payload) -> str:
     return json.dumps(payload, sort_keys=True)
+
+
+def poll_result(client, ticket, timeout=30.0):
+    """Poll ``result`` until the ticket resolves; fails the test on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        reply = client.result(ticket)
+        if "result" in reply:
+            return reply
+        time.sleep(0.02)
+    pytest.fail("ticket never resolved")
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +208,9 @@ class TestAdmissionAndBackpressure:
     def test_backpressure_carries_retry_after(self, make_request):
         # One worker, one in-flight batch slot, one queue slot: while the
         # first request computes, the second occupies the queue and every
-        # further no-wait submit must bounce with a retry hint (dedup off
-        # so nothing coalesces).
-        cfg = fast_config(workers=1, max_pending=1, dedup=False,
+        # further no-wait submit must bounce with a retry hint (distinct
+        # seeds, so nothing coalesces).
+        cfg = fast_config(workers=1, max_pending=1,
                           max_inflight_batches=1, max_batch=1)
         with running_service(cfg) as svc:
             with ServiceClient(*svc.address) as c:
@@ -231,17 +243,33 @@ class TestTickets:
                 reply = c.submit(req, wait=False)
                 ticket = reply["ticket"]
                 assert ticket == req.fingerprint()
-                # Poll until the store has it.
-                import time
-                deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    r = c.result(ticket)
-                    if "result" in r:
-                        break
-                    time.sleep(0.02)
-                else:  # pragma: no cover
-                    pytest.fail("ticket never resolved")
+                r = poll_result(c, ticket)
         assert canon(r["result"]) == canon(execute_batch([req.to_dict()])[0])
+
+    def test_queued_ticket_is_pending_then_resolves(self, make_request,
+                                                    tmp_path):
+        # The first batch sleeps in the worker and holds the only batch
+        # slot, so the second no-wait request sits in the queue: a result
+        # poll must see it as pending, not as an unknown ticket.
+        from repro.chaos import ChaoticExecutor, slow_at
+
+        busy, queued = make_request(seed=52), make_request(seed=53)
+        executor = ChaoticExecutor(slow_at(1, delay=1.5),
+                                   str(tmp_path / "latch"))
+        cfg = fast_config(workers=1, max_inflight_batches=1, max_batch=1,
+                          executor=executor)
+        with running_service(cfg) as svc:
+            with ServiceClient(*svc.address) as c:
+                c.wait_until_ready()
+                c.submit(busy, wait=False)
+                ticket = c.submit(queued, wait=False)["ticket"]
+                assert c.status().queue_depth == 1
+                pending = c.result(ticket)
+                assert pending["status"] == "pending"
+                assert "result" not in pending
+                r = poll_result(c, ticket)
+        assert canon(r["result"]) \
+            == canon(execute_batch([queued.to_dict()])[0])
 
     def test_unknown_ticket_is_an_error(self, client):
         with pytest.raises(ServiceError, match="unknown-ticket"):

@@ -207,6 +207,17 @@ class TestVersionFlag:
 class TestServiceCommands:
     """``repro submit`` / ``repro status`` against a live loopback daemon."""
 
+    @pytest.mark.parametrize("flag", ["--no-dedup", "--no-batching"])
+    def test_serve_rejects_the_removed_baseline_flags(self, flag, capsys):
+        # Parsed, not run: a parser that accepted the flag would start a
+        # daemon instead of failing.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.fixture()
     def service(self):
         from repro.service import ServiceConfig, running_service
