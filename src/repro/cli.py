@@ -43,7 +43,7 @@ from typing import List, Optional
 from repro import serialize
 from repro.core.mapping import Workload
 from repro.core.scheduler import CommunicationAwareScheduler
-from repro.distance.cache import cached_routing_table, configure_cache
+from repro.distance.cache import cached_routing_table
 from repro.parallel import WorkersLike
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
@@ -76,11 +76,6 @@ def _workers_arg(value: str) -> WorkersLike:
             f"workers must be >= 0 (0 = auto), got {count}"
         )
     return count
-
-
-def _apply_cache_flag(args: argparse.Namespace) -> None:
-    if getattr(args, "no_cache", False):
-        configure_cache(enabled=False)
 
 
 def _build_topology(args: argparse.Namespace) -> Topology:
@@ -126,7 +121,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     """Run the communication-aware scheduler and print the partition."""
     from repro.search.tabu import TabuSearch
 
-    _apply_cache_flag(args)
     topo = _build_topology(args)
     if topo.num_switches % args.clusters != 0:
         raise SystemExit(
@@ -161,7 +155,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Sweep mappings through the wormhole simulator."""
-    _apply_cache_flag(args)
     topo = _build_topology(args)
     per_cluster = (topo.num_switches // args.clusters) * topo.hosts_per_switch
     workload = Workload.uniform(args.clusters, per_cluster)
@@ -235,7 +228,6 @@ def cmd_failures(args: argparse.Namespace) -> int:
         single_switch_scenarios,
     )
 
-    _apply_cache_flag(args)
     topo = _build_topology(args)
     per_cluster = (topo.num_switches // args.clusters) * topo.hosts_per_switch
     scheduler = CommunicationAwareScheduler(topo)
@@ -554,7 +546,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         run_fig6,
     )
 
-    _apply_cache_flag(args)
     config = SimulationConfig(
         warmup_cycles=args.warmup, measure_cycles=args.measure, seed=7,
         engine=args.engine,
@@ -632,8 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool width for restarts/sweep points "
                             "(default: $REPRO_WORKERS or serial; results "
                             "are identical either way)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the distance/routing-table cache")
         # SUPPRESS: only override the root-level --trace when actually
         # given after the subcommand, so both positions work.
         p.add_argument("--trace", metavar="PATH", default=argparse.SUPPRESS,

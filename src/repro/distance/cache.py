@@ -16,15 +16,13 @@ accounting; a module-level default instance backs
 :func:`cached_distance_table` / :func:`cached_routing_table`, which the
 scheduler and experiment setups use.  Caching is semantically invisible —
 ``DistanceTable`` values are immutable and ``RoutingTable`` is read-only
-after construction — and can be disabled globally (``--no-cache`` on the
-CLI, ``REPRO_NO_CACHE=1`` in the environment, or
-:func:`configure_cache`).
+after construction — so it is always on; :func:`configure_cache` only
+flushes it (cold-start measurements do).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,9 +37,6 @@ from repro.obs import metrics as _metrics
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.tables import RoutingTable
 from repro.topology.graph import Topology
-
-NO_CACHE_ENV = "REPRO_NO_CACHE"
-
 
 def topology_fingerprint(topology: Topology) -> str:
     """Stable content hash of a topology (links, sizes, port layout)."""
@@ -164,8 +159,7 @@ class TableCache:
             self._hits = self._misses = self._evictions = 0
 
 
-_default_cache = TableCache(maxsize=int(os.environ.get("REPRO_CACHE_SIZE", "32")))
-_enabled = os.environ.get(NO_CACHE_ENV, "").strip() not in ("1", "true", "yes")
+_default_cache = TableCache()
 
 
 def default_cache() -> TableCache:
@@ -173,17 +167,8 @@ def default_cache() -> TableCache:
     return _default_cache
 
 
-def cache_enabled() -> bool:
-    """Whether the module-level cache is consulted by the helpers."""
-    return _enabled
-
-
-def configure_cache(*, enabled: Optional[bool] = None,
-                    clear: bool = False) -> None:
-    """Toggle (and optionally flush) the module-level cache."""
-    global _enabled
-    if enabled is not None:
-        _enabled = bool(enabled)
+def configure_cache(*, clear: bool = False) -> None:
+    """Flush the module-level cache when ``clear`` is true."""
     if clear:
         _default_cache.clear()
 
@@ -195,8 +180,7 @@ def cached_distance_table(routing: RoutingAlgorithm, *,
 
     ``kind`` selects the distance model: ``"equivalent"`` (the paper's
     resistance table) or ``"hops"`` (the ablation baseline).  Pass an
-    explicit ``cache`` to bypass the module-level one (tests do); with the
-    module cache disabled the table is built directly.
+    explicit ``cache`` to bypass the module-level one (tests do).
     """
     if kind == "equivalent":
         builder = build_distance_table
@@ -204,10 +188,7 @@ def cached_distance_table(routing: RoutingAlgorithm, *,
         builder = hop_distance_table
     else:
         raise ValueError(f"unknown distance-table kind {kind!r}")
-    if cache is None:
-        if not _enabled:
-            return builder(routing)
-        cache = _default_cache
+    cache = _default_cache if cache is None else cache
     key = routing_cache_key(routing, f"distance:{kind}")
     return cache.get_or_build(key, lambda: builder(routing))
 
@@ -215,22 +196,17 @@ def cached_distance_table(routing: RoutingAlgorithm, *,
 def cached_routing_table(routing: RoutingAlgorithm, *,
                          cache: Optional[TableCache] = None) -> RoutingTable:
     """A simulator :class:`RoutingTable` through the LRU cache."""
-    if cache is None:
-        if not _enabled:
-            return RoutingTable(routing)
-        cache = _default_cache
+    cache = _default_cache if cache is None else cache
     key = routing_cache_key(routing, "routing-table")
     return cache.get_or_build(key, lambda: RoutingTable(routing))
 
 
 __all__ = [
-    "NO_CACHE_ENV",
     "CacheStats",
     "TableCache",
     "topology_fingerprint",
     "routing_cache_key",
     "default_cache",
-    "cache_enabled",
     "configure_cache",
     "cached_distance_table",
     "cached_routing_table",

@@ -20,34 +20,27 @@ network is larger, and nothing is ever stacked across sources.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 import numpy as np
 
-from repro.topology.graph import Link
+from repro.topology.graph import Link, bfs_distances
 
 #: Most matrix entries in one stacked pseudoinverse; a larger group of
 #: same-size networks is solved in several calls.
 _STACK_ENTRIES = 1 << 18
 
 
-def _component_nodes(links: Iterable[Link], anchor: int) -> List[int]:
+def _component_nodes(links: List[Link], anchor: int) -> List[int]:
     """Nodes of the connected component of ``anchor`` in the link set."""
-    adj: Dict[int, List[int]] = {}
+    nodes = sorted({anchor}.union(*links))
+    index = {x: i for i, x in enumerate(nodes)}
+    adj: List[List[int]] = [[] for _ in nodes]
     for u, v in links:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if anchor not in adj:
-        return [anchor]
-    seen = {anchor}
-    stack = [anchor]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen)
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    reached = bfs_distances(adj, [index[anchor]]) >= 0
+    return [x for x, r in zip(nodes, reached) if r]
 
 
 def _laplacians(count: int, size: int, owner: np.ndarray, iu: np.ndarray,
@@ -152,26 +145,12 @@ def resistance_matrix(num_nodes: int, links: Iterable[Link]) -> np.ndarray:
 
     # Mark cross-component pairs as inf (pinv silently returns finite
     # garbage for them because the Laplacian is block diagonal).
-    comp = np.full(num_nodes, -1, dtype=int)
-    cid = 0
-    adj: Dict[int, List[int]] = {i: [] for i in range(num_nodes)}
+    adj: List[List[int]] = [[] for _ in range(num_nodes)]
     for u, v in links:
         adj[u].append(v)
         adj[v].append(u)
-    for s in range(num_nodes):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if comp[y] < 0:
-                    comp[y] = cid
-                    stack.append(y)
-        cid += 1
-    cross = comp[:, None] != comp[None, :]
-    r = np.where(cross, np.inf, r)
+    linked = np.array([bfs_distances(adj, [s]) >= 0 for s in range(num_nodes)])
+    r = np.where(linked, r, np.inf)
     np.fill_diagonal(r, 0.0)
     return r
 

@@ -33,11 +33,6 @@ from repro.experiments.fig4_partition24 import run_fig4, render_fig4
 from repro.experiments.fig5_sim24 import run_fig5, render_fig5
 from repro.experiments.fig6_correlation import run_fig6, render_fig6, Fig6Result
 from repro.experiments.survey import run_survey, render_survey, SurveyResult
-from repro.experiments.failures import (
-    run_failure_study,
-    render_failure_study,
-    FailureStudyResult,
-)
 
 __all__ = [
     "ExperimentSetup",
@@ -51,5 +46,4 @@ __all__ = [
     "run_fig5", "render_fig5",
     "run_fig6", "render_fig6", "Fig6Result",
     "run_survey", "render_survey", "SurveyResult",
-    "run_failure_study", "render_failure_study", "FailureStudyResult",
 ]

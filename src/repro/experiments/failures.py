@@ -22,9 +22,6 @@ independent and seeded, so the study runs on a process pool
 results bit-identical to an uninterrupted serial run (wall-time fields are
 measurement metadata and excluded from the deterministic payload).
 
-The original single-link API (:class:`FailureRow`,
-:func:`run_failure_study`) is preserved as a thin view over the subsystem.
-
 This is an extension (the paper does not study failures); the benchmark
 treats it as an ablation of mapping robustness.
 """
@@ -48,7 +45,7 @@ from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.sweep import run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
-from repro.topology.graph import Link, Topology
+from repro.topology.graph import Topology
 from repro.util.reporting import Table
 from repro.util.rng import derive_seed
 
@@ -357,101 +354,6 @@ def render_fault_study(res: FaultStudyResult) -> str:
     return t.render() + "\n".join(lines)
 
 
-# --------------------------------------------------------------------- #
-# legacy single-link API (kept as a view over the subsystem)
-# --------------------------------------------------------------------- #
-
-@dataclass
-class FailureRow:
-    """Outcome of one injected single-link failure (legacy view)."""
-
-    link: Link
-    still_connected: bool
-    c_c_before_failure: float
-    c_c_degraded: Optional[float]      # old mapping, new distances
-    c_c_rescheduled: Optional[float]   # new mapping, new distances
-
-    @property
-    def recovery(self) -> Optional[float]:
-        """``C_c`` regained by rescheduling; ``None`` when it was skipped."""
-        if self.c_c_degraded is None or self.c_c_rescheduled is None:
-            return None
-        return self.c_c_rescheduled - self.c_c_degraded
-
-
-@dataclass
-class FailureStudyResult:
-    """All rows of one single-link failure study (legacy view)."""
-
-    rows: List[FailureRow]
-
-    @property
-    def survivable(self) -> List[FailureRow]:
-        """Rows whose failed network stayed connected."""
-        return [r for r in self.rows if r.still_connected]
-
-    def all_survivable_rescheduled_ok(self) -> bool:
-        """Rescheduling never ends below the degraded mapping."""
-        return all(
-            r.c_c_rescheduled >= r.c_c_degraded - 1e-9
-            for r in self.survivable
-        )
-
-
-def run_failure_study(
-    setup: ExperimentSetup,
-    *,
-    links: Optional[Sequence[Link]] = None,
-    seed: int = 1,
-    workers: WorkersLike = None,
-) -> FailureStudyResult:
-    """Inject single-link failures and measure mapping degradation/recovery.
-
-    ``links`` defaults to every link of the topology (24 cases for the
-    paper's 16-switch network).  Thin wrapper over :func:`run_fault_study`
-    preserving the original study's shape.
-    """
-    targets = list(links) if links is not None else list(setup.topology.links)
-    scenarios = [FaultScenario(links=(l,)) for l in targets]
-    res = run_fault_study(setup, scenarios, seed=seed, workers=workers)
-    rows = [
-        FailureRow(
-            link=target,
-            still_connected=row.connected,
-            c_c_before_failure=row.c_c_before,
-            c_c_degraded=row.c_c_degraded,
-            c_c_rescheduled=row.c_c_rescheduled,
-        )
-        for target, row in zip(targets, res.rows)
-    ]
-    return FailureStudyResult(rows)
-
-
-def render_failure_study(res: FailureStudyResult) -> str:
-    """Text table of per-failure degradation and recovery (legacy view)."""
-    t = Table(
-        ["failed link", "connected", "C_c healthy", "C_c degraded",
-         "C_c rescheduled", "recovery"],
-        title="failure injection - single link failures",
-    )
-    for r in res.rows:
-        t.add_row([
-            f"{r.link[0]}-{r.link[1]}",
-            "yes" if r.still_connected else "NO",
-            r.c_c_before_failure,
-            r.c_c_degraded,
-            r.c_c_rescheduled,
-            r.recovery,
-        ], digits=3)
-    surv = res.survivable
-    summary = (
-        f"\nsurvivable failures: {len(surv)}/{len(res.rows)}; "
-        f"rescheduling recovered quality on "
-        f"{sum(1 for r in surv if (r.recovery or 0) > 1e-9)} of them"
-    )
-    return t.render() + summary
-
-
 __all__ = [
     "FaultRow",
     "FaultStudyResult",
@@ -459,8 +361,4 @@ __all__ = [
     "simulate_fault_impact",
     "render_fault_study",
     "study_checkpoint_key",
-    "FailureRow",
-    "FailureStudyResult",
-    "run_failure_study",
-    "render_failure_study",
 ]

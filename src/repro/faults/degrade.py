@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.distance.cache import cached_distance_table
 from repro.distance.table import DistanceTable
 from repro.faults.model import FaultScenario
 from repro.routing.deadlock import is_deadlock_free
 from repro.routing.updown import UpDownRouting
-from repro.topology.graph import Link, Topology
+from repro.topology.graph import Link, Topology, bfs_distances
 
 
 @dataclass
@@ -181,30 +183,21 @@ class DegradedNetwork:
         )
 
 
-def _components_of(switches: Tuple[int, ...],
+def _components_of(num_switches: int, switches: Tuple[int, ...],
                    links: Tuple[Link, ...]) -> List[Tuple[int, ...]]:
     """Connected components over ``switches`` (original ids), sorted by
     descending size then ascending lowest member id."""
-    adj: Dict[int, List[int]] = {s: [] for s in switches}
+    adj: List[List[int]] = [[] for _ in range(num_switches)]
     for u, v in links:
         adj[u].append(v)
         adj[v].append(u)
-    seen = set()
+    seen = np.zeros(num_switches, dtype=bool)
     comps: List[Tuple[int, ...]] = []
     for start in switches:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(members)))
+        if not seen[start]:
+            reached = bfs_distances(adj, [start]) >= 0
+            seen |= reached
+            comps.append(tuple(np.flatnonzero(reached).tolist()))
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 
@@ -239,7 +232,7 @@ def degrade(topology: Topology, scenario: FaultScenario) -> DegradedNetwork:
             switches=members,
             topology=stripped.induced_subtopology(members),
         )
-        for members in _components_of(survivors, links)
+        for members in _components_of(topology.num_switches, survivors, links)
     )
     return DegradedNetwork(
         base=topology,

@@ -10,13 +10,22 @@ never be followed by an up traversal, and up-only / down-only subgraphs are
 DAGs ordered by (level, id)); the test-suite verifies this property on the
 actual tables.  Minimal routing on cyclic topologies generally is *not*
 deadlock-free — the rings used in tests demonstrate the cycle.
+
+Both steps are reachability questions answered by
+:func:`~repro.topology.graph.bfs_distances`: building the CDG takes one
+multi-source BFS per destination over the routing function's next hops,
+and a channel lies on a cycle iff it is reachable from its own
+dependencies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
+
+import numpy as np
 
 from repro.routing.base import Phase, RoutingAlgorithm
+from repro.topology.graph import bfs_distances
 
 Channel = Tuple[int, int]  # directed link u -> v
 
@@ -28,7 +37,9 @@ def channel_dependency_graph(routing: RoutingAlgorithm) -> Dict[Channel, Set[Cha
     at ``v`` over channel ``(u, v)`` in phase ``p`` and legally continue on
     ``(v, w)``.  The arrival phase is taken from the hop tuple the routing
     function itself returns, so this analyzes exactly the paths the
-    simulator would use.
+    simulator would use.  Per destination, one multi-source BFS over the
+    routing function's own next hops finds every ``(switch, phase)`` state
+    a packet from any source can occupy.
     """
     topo = routing.topology
     n = topo.num_switches
@@ -36,52 +47,27 @@ def channel_dependency_graph(routing: RoutingAlgorithm) -> Dict[Channel, Set[Cha
     for u, v in topo.links:
         deps[(u, v)] = set()
         deps[(v, u)] = set()
+    sources = [int(routing.initial_phase()) * n + s for s in range(n)]
     for dst in range(n):
-        for src in range(n):
-            if src == dst:
-                continue
-            # Walk breadth-first over (switch, phase) states actually
-            # reachable when routing src -> dst.
-            seen: Set[Tuple[int, Phase]] = set()
-            frontier: List[Tuple[int, Phase]] = [(src, routing.initial_phase())]
-            while frontier:
-                nxt: List[Tuple[int, Phase]] = []
-                for s, p in frontier:
-                    if (s, p) in seen:
-                        continue
-                    seen.add((s, p))
-                    for v1, p1 in routing.next_hops(s, p, dst):
-                        for v2, _p2 in routing.next_hops(v1, p1, dst):
-                            deps[(s, v1)].add((v1, v2))
-                        if (v1, p1) not in seen:
-                            nxt.append((v1, p1))
-                frontier = nxt
+        # Flat state id phase * N + switch, as in the up*/down* state graph.
+        succ = [[p * n + v
+                 for v, p in routing.next_hops(s % n, Phase(s // n), dst)]
+                for s in range(2 * n)]
+        reached = bfs_distances(succ, sources[:dst] + sources[dst + 1:]) >= 0
+        for a in np.flatnonzero(reached).tolist():
+            for b in succ[a]:
+                deps[(a % n, b % n)].update((b % n, c % n) for c in succ[b])
     return deps
 
 
 def is_deadlock_free(routing: RoutingAlgorithm) -> bool:
-    """True when the routing function's CDG is acyclic."""
+    """True when the routing function's CDG is acyclic: no channel is
+    reachable from its own dependencies."""
     deps = channel_dependency_graph(routing)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[Channel, int] = {c: WHITE for c in deps}
-    for start in deps:
-        if color[start] != WHITE:
-            continue
-        stack: List[Tuple[Channel, List[Channel]]] = [(start, list(deps[start]))]
-        color[start] = GRAY
-        while stack:
-            node, todo = stack[-1]
-            if todo:
-                child = todo.pop()
-                if color[child] == GRAY:
-                    return False
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, list(deps[child])))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    index = {c: i for i, c in enumerate(deps)}
+    succ = [[index[d] for d in deps[c]] for c in deps]
+    return all(bfs_distances(succ, after)[i] < 0
+               for i, after in enumerate(succ))
 
 
 __all__ = ["Channel", "channel_dependency_graph", "is_deadlock_free"]

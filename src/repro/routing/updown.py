@@ -9,49 +9,38 @@ connectivity and deadlock freedom.
 
 Implementation: a packet's routing state is ``(switch, phase)`` with
 ``phase`` from :class:`~repro.routing.base.Phase`; legality becomes a plain
-reachability problem on a directed *state graph* with ``2N`` nodes:
+reachability problem on a directed *state graph* with ``2N`` nodes, state
+``phase * N + switch``:
 
 - an up traversal keeps phase ``UP``;
 - a down traversal moves (or keeps) phase ``DOWN``;
 - no edge ever leaves ``DOWN`` for ``UP``.
 
-Shortest legal distances, per-state next hops and shortest-path link
-supports all come out of forward/backward BFS on this graph.  The supports
-of one source take one forward BFS plus the stacked per-destination
-backward distances: a state edge ``(pu, u) → (pv, v)`` lies on a shortest
-``src → dst`` path iff ``df[pu, u] + 1 + db[dst, pv, v]`` equals the
-``src → dst`` distance.
+One :func:`~repro.topology.graph.bfs_distances` per state gives the legal
+distance between every pair of states.  Two slices of that matrix are
+kept: the forward rows from each ``(src, UP)`` injection state, and the
+remaining distance from every state to each destination switch (arriving
+in either phase completes the route).  Shortest legal distances, per-state
+next hops and shortest-path link supports all read those two arrays: a
+state edge ``(pu, u) → (pv, v)`` lies on a shortest ``src → dst`` path iff
+``fwd[src, pu, u] + 1 + rest[dst, pv, v]`` equals the ``src → dst``
+distance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.routing.base import Hop, Phase, RoutingAlgorithm
-from repro.topology.graph import Topology
-
-_UNREACHED = -1
+from repro.topology.graph import Topology, bfs_distances
 
 
 def bfs_levels(topology: Topology, root: int) -> np.ndarray:
     """BFS level of every switch from ``root`` (the spanning-tree depth)."""
-    n = topology.num_switches
-    level = np.full(n, _UNREACHED, dtype=np.int64)
-    level[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in topology.neighbors(u):
-                if level[v] == _UNREACHED:
-                    level[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return level
+    adj = [topology.neighbors(s) for s in range(topology.num_switches)]
+    return bfs_distances(adj, [root]).astype(np.int64)
 
 
 def choose_root(topology: Topology) -> int:
@@ -91,36 +80,24 @@ class UpDownRouting(RoutingAlgorithm):
         self.root = root
         self.level = bfs_levels(topology, root)
 
-        # Directed state-graph adjacency: for each (switch, phase) the legal
-        # (neighbor, phase') continuations, independent of destination.
-        self._succ: List[List[List[Hop]]] = [
-            [[] for _ in range(n)] for _ in range(2)
-        ]
-        self._pred: List[List[List[Hop]]] = [
-            [[] for _ in range(n)] for _ in range(2)
-        ]
-        # Each link gives three state edges: the up traversal and the down
-        # traversal from either phase.  _edge_from/_edge_to hold them as flat
-        # state ids (phase * N + switch), one row per link, for
-        # shortest_path_supports.
+        # Directed state graph over flat state ids (phase * N + switch):
+        # _succ[state] lists the legal next states, independent of
+        # destination.  Each link gives three state edges: the up traversal
+        # and the down traversal from either phase.  _edge_from/_edge_to
+        # hold them one row per link, for shortest_path_supports.
+        self._succ: List[List[int]] = [[] for _ in range(2 * n)]
         edges = []
         for u, v in topology.links:
             lower, upper = (u, v) if self.is_up(u, v) else (v, u)
-            link_edges = ((lower, Phase.UP, upper, Phase.UP),
-                          (upper, Phase.UP, lower, Phase.DOWN),
-                          (upper, Phase.DOWN, lower, Phase.DOWN))
-            for a, pa, b, pb in link_edges:
-                self._add_edge(a, pa, b, pb)
-            edges.append([(pa * n + a, pb * n + b) for a, pa, b, pb in link_edges])
+            link_edges = ((lower, upper), (upper, n + lower), (n + upper, n + lower))
+            for a, b in link_edges:
+                self._succ[a].append(b)
+            edges.append(link_edges)
         edges = np.array(edges, dtype=np.int64).reshape(-1, 3, 2)
         self._edge_from, self._edge_to = edges[:, :, 0], edges[:, :, 1]
 
         self._dist: Optional[np.ndarray] = None
-        # Per-destination remaining-distance arrays, filled lazily:
-        # _db[dst] has shape (2, N): _db[dst][phase, switch].  Each is a
-        # view of row dst of the (N, 2, N) stack _db_all.
-        self._db: Dict[int, np.ndarray] = {}
-        self._db_all: Optional[np.ndarray] = None
+        self._states: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # orientation
@@ -151,38 +128,20 @@ class UpDownRouting(RoutingAlgorithm):
     def distances(self) -> np.ndarray:
         """All-pairs shortest legal distances (symmetric for up*/down*)."""
         if self._dist is None:
+            fwd, _ = self._state_distances()
             n = self.topology.num_switches
-            d = np.empty((n, n), dtype=np.int64)
-            for src in range(n):
-                df = self._forward_bfs(src).astype(float)
-                df[df < 0] = np.inf  # unreachable in that phase
-                best = np.minimum(df[Phase.UP], df[Phase.DOWN])
-                if np.isinf(best).any():
-                    missing = int(np.nonzero(np.isinf(best))[0][0])
-                    raise RuntimeError(f"updown: {missing} unreachable from {src}")
-                d[src] = best.astype(np.int64)
-            self._dist = d
+            self._dist = np.minimum(fwd[:, :n], fwd[:, n:]).astype(np.int64)
         return self._dist
 
     def shortest_path_supports(self, src: int) -> np.ndarray:
         n = self.topology.num_switches
-        # Stand-in distance of an unreached state: longer than any legal
-        # path, which visits each of the 2N states at most once.
-        far = 2 * n
-        df = self._forward_bfs(src).astype(np.int32)
-        df[df < 0] = far
-        total = df.min(axis=0)
-        if (total == far).any():
-            missing = int(np.flatnonzero(total == far)[0])
-            raise RuntimeError(f"updown: {missing} unreachable from {src}")
-        for dst in range(n):
-            self._backward_dist(dst)
-        db = self._db_all.reshape(n, 2 * n)  # [dst, flat state id]
-        df = df.ravel()
+        fwd, rest = self._state_distances()
+        df = fwd[src]
+        total = np.minimum(df[:n], df[n:])
         # Edge column by column keeps the temporaries at (N, L).
         on_path = np.zeros((n, self._edge_from.shape[0]), dtype=bool)
         for col in range(3):
-            bv = db[:, self._edge_to[:, col]]
+            bv = rest[:, self._edge_to[:, col]]
             on_path |= (bv >= 0) & (df[self._edge_from[:, col]] + 1 + bv
                                     == total[:, None])
         return on_path
@@ -190,74 +149,42 @@ class UpDownRouting(RoutingAlgorithm):
     def next_hops(self, current: int, phase: Phase, dst: int) -> Tuple[Hop, ...]:
         if current == dst:
             return ()
-        db = self._backward_dist(dst)
-        here = db[phase, current]
+        n = self.topology.num_switches
+        rest = self._state_distances()[1][dst]
+        state = phase * n + current
+        here = rest[state]
         if here < 0:
             return ()
-        out = [
-            (v, nphase)
-            for v, nphase in self._succ[phase][current]
-            if db[nphase, v] == here - 1
-        ]
-        out.sort()
-        return tuple(out)
+        return tuple(sorted((t % n, Phase(t // n)) for t in self._succ[state]
+                            if rest[t] == here - 1))
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _add_edge(self, u: int, pu: Phase, v: int, pv: Phase) -> None:
-        self._succ[pu][u].append((v, pv))
-        self._pred[pv][v].append((u, pu))
+    def _state_distances(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(fwd, rest)``, both int32 of shape ``(N, 2N)`` over flat states.
 
-    def _forward_bfs(self, src: int) -> np.ndarray:
-        """Distances from state ``(src, UP)`` to every state; shape (2, N)."""
-        n = self.topology.num_switches
-        dist = np.full((2, n), _UNREACHED, dtype=np.int64)
-        dist[Phase.UP, src] = 0
-        frontier: List[Hop] = [(src, Phase.UP)]
-        d = 0
-        while frontier:
-            d += 1
-            nxt: List[Hop] = []
-            for u, pu in frontier:
-                for v, pv in self._succ[pu][u]:
-                    if dist[pv, v] == _UNREACHED:
-                        dist[pv, v] = d
-                        nxt.append((v, pv))
-            frontier = nxt
-        return dist
-
-    def _backward_dist(self, dst: int) -> np.ndarray:
-        """Remaining legal distance from every state to switch ``dst``.
-
-        BFS over reversed state edges from both ``(dst, UP)`` and
-        ``(dst, DOWN)`` (arriving in either phase completes the route).
-        Cached per destination — the simulator queries this on every hop.
+        ``fwd[src, state]`` is the legal distance from the injection state
+        ``(src, UP)``, with ``2N`` (longer than any legal path, which visits
+        each state at most once) where the state is unreachable.
+        ``rest[dst, state]`` is the remaining legal distance from ``state``
+        to switch ``dst`` in either phase, ``-1`` when none exists.  Built
+        once, from one BFS per state; the full ``(2N, 2N)`` matrix is
+        dropped afterwards.
         """
-        cached = self._db.get(dst)
-        if cached is not None:
-            return cached
-        n = self.topology.num_switches
-        if self._db_all is None:
-            # int32 halves the stack; no legal distance comes near 2**31.
-            self._db_all = np.full((n, 2, n), _UNREACHED, dtype=np.int32)
-        dist = self._db_all[dst]
-        dist[Phase.UP, dst] = 0
-        dist[Phase.DOWN, dst] = 0
-        frontier: List[Hop] = [(dst, Phase.UP), (dst, Phase.DOWN)]
-        d = 0
-        while frontier:
-            d += 1
-            nxt: List[Hop] = []
-            for v, pv in frontier:
-                for u, pu in self._pred[pv][v]:
-                    if dist[pu, u] == _UNREACHED:
-                        dist[pu, u] = d
-                        nxt.append((u, pu))
-            frontier = nxt
-        self._db[dst] = dist
-        return dist
+        if self._states is None:
+            n = self.topology.num_switches
+            far = 2 * n
+            full = np.empty((2 * n, 2 * n), dtype=np.int32)
+            for state in range(2 * n):
+                full[state] = bfs_distances(self._succ, [state])
+            full[full < 0] = far
+            rest = np.empty((n, 2 * n), dtype=np.int32)
+            np.minimum(full[:, :n].T, full[:, n:].T, out=rest)
+            rest[rest == far] = -1
+            self._states = (full[:n].copy(), rest)
+        return self._states
 
 
 __all__ = ["UpDownRouting", "bfs_levels", "choose_root"]

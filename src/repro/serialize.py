@@ -180,56 +180,6 @@ def run_manifest_from_dict(d: Dict[str, Any]) -> RunManifest:
     return RunManifest.from_record(d["record"])
 
 
-def schedule_request_to_dict(req: ScheduleRequest) -> Dict[str, Any]:
-    """Encode a service scheduling request (the wire form)."""
-    return req.to_dict()
-
-
-def schedule_request_from_dict(d: Dict[str, Any]) -> ScheduleRequest:
-    """Decode (and strictly validate) a schedule-request payload."""
-    return ScheduleRequest.from_dict(d)
-
-
-def schedule_response_to_dict(resp: ScheduleResponse) -> Dict[str, Any]:
-    """Encode a service response (the canonical deterministic payload)."""
-    return resp.to_dict()
-
-
-def schedule_response_from_dict(d: Dict[str, Any]) -> ScheduleResponse:
-    """Decode (and strictly validate) a schedule-response payload."""
-    return ScheduleResponse.from_dict(d)
-
-
-def service_status_to_dict(status: ServiceStatus) -> Dict[str, Any]:
-    """Encode a service status snapshot."""
-    return status.to_dict()
-
-
-def service_status_from_dict(d: Dict[str, Any]) -> ServiceStatus:
-    """Decode (and strictly validate) a service-status payload."""
-    return ServiceStatus.from_dict(d)
-
-
-def variation_record_to_dict(record: VariationRecord) -> Dict[str, Any]:
-    """Encode one variation-study cell (already a tagged dict shape)."""
-    return record.to_dict()
-
-
-def variation_record_from_dict(d: Dict[str, Any]) -> VariationRecord:
-    """Decode (and strictly validate) a variation-record payload."""
-    return VariationRecord.from_dict(d)
-
-
-def study_spec_to_dict(spec: StudySpec) -> Dict[str, Any]:
-    """Encode a variation-study spec."""
-    return spec.to_dict()
-
-
-def study_spec_from_dict(d: Dict[str, Any]) -> StudySpec:
-    """Decode (and strictly validate) a study-spec payload."""
-    return StudySpec.from_dict(d)
-
-
 # --------------------------------------------------------------------- #
 # generic entry points
 # --------------------------------------------------------------------- #
@@ -242,11 +192,11 @@ _ENCODERS = {
     FaultScenario: fault_scenario_to_dict,
     TraceEvent: trace_event_to_dict,
     RunManifest: run_manifest_to_dict,
-    ScheduleRequest: schedule_request_to_dict,
-    ScheduleResponse: schedule_response_to_dict,
-    ServiceStatus: service_status_to_dict,
-    VariationRecord: variation_record_to_dict,
-    StudySpec: study_spec_to_dict,
+    ScheduleRequest: ScheduleRequest.to_dict,
+    ScheduleResponse: ScheduleResponse.to_dict,
+    ServiceStatus: ServiceStatus.to_dict,
+    VariationRecord: VariationRecord.to_dict,
+    StudySpec: StudySpec.to_dict,
 }
 
 _DECODERS = {
@@ -257,11 +207,11 @@ _DECODERS = {
     "fault_scenario": fault_scenario_from_dict,
     "trace_event": trace_event_from_dict,
     "run_manifest": run_manifest_from_dict,
-    "schedule_request": schedule_request_from_dict,
-    "schedule_response": schedule_response_from_dict,
-    "service_status": service_status_from_dict,
-    "variation_record": variation_record_from_dict,
-    "variation_study_spec": study_spec_from_dict,
+    "schedule_request": ScheduleRequest.from_dict,
+    "schedule_response": ScheduleResponse.from_dict,
+    "service_status": ServiceStatus.from_dict,
+    "variation_record": VariationRecord.from_dict,
+    "variation_study_spec": StudySpec.from_dict,
 }
 
 
@@ -327,14 +277,4 @@ __all__ = [
     "trace_event_from_dict",
     "run_manifest_to_dict",
     "run_manifest_from_dict",
-    "schedule_request_to_dict",
-    "schedule_request_from_dict",
-    "schedule_response_to_dict",
-    "schedule_response_from_dict",
-    "service_status_to_dict",
-    "service_status_from_dict",
-    "variation_record_to_dict",
-    "variation_record_from_dict",
-    "study_spec_to_dict",
-    "study_spec_from_dict",
 ]

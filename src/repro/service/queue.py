@@ -18,7 +18,7 @@ explicit hold that also collects arrivals for that many seconds.  Queue
 depth is published as the ``service.queue.depth`` gauge on every
 transition.
 
-Under overload the queue can also *shed*: when a higher-priority request
+Under overload the queue *sheds*: when a higher-priority request
 arrives at a full queue, the lowest-priority (youngest-within-priority)
 queued job is evicted and failed with :class:`ShedError` — a third typed
 failure mode alongside admission and backpressure, carrying its own
@@ -150,25 +150,22 @@ class JobQueue:
         """Jobs currently waiting (excludes in-flight batches)."""
         return self._queue.qsize()
 
-    def put_nowait(self, job: Job, *, shed: bool = False) -> Optional[Job]:
-        """Enqueue ``job``; under overload, optionally shed lower-priority work.
+    def put_nowait(self, job: Job) -> Optional[Job]:
+        """Enqueue ``job``; at capacity, shed strictly lower-priority work.
 
-        At capacity with ``shed=False`` (the historical behaviour) this
-        raises :class:`BackpressureError` at the submitter.  With
-        ``shed=True`` the queue first looks for a victim of *strictly
-        lower* priority — the lowest-priority job, youngest within that
+        At capacity the queue looks for a victim of *strictly lower*
+        priority — the lowest-priority job, youngest within that
         priority — evicts it to make room, and returns it so the caller
         can fail its future with :class:`ShedError`.  When every queued
         job has priority >= the newcomer's, the newcomer is the loser and
-        :class:`BackpressureError` is raised as before.  Returns ``None``
-        when nothing was shed.
+        :class:`BackpressureError` is raised at the submitter.  Returns
+        ``None`` when nothing was shed.
         """
         victim: Optional[Job] = None
         try:
             self._queue.put_nowait((-job.priority, next(self._arrival), job))
         except asyncio.QueueFull:
-            if shed:
-                victim = self._evict_lowest(job.priority)
+            victim = self._evict_lowest(job.priority)
             if victim is None:
                 raise BackpressureError(
                     f"the service has {self.max_pending} requests pending; "

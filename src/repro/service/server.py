@@ -130,7 +130,6 @@ class ServiceConfig:
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     heartbeat_interval: Optional[float] = None  # s between idle probes
     heartbeat_timeout: float = 10.0
-    shed: bool = True                 # priority-aware eviction when full
     wal_path: Optional[Union[str, Path]] = None  # accepted-request journal
     # --- operator console (PR 9) ------------------------------------ #
     console_port: Optional[int] = None  # HTTP console; None=off, 0=ephemeral
@@ -505,7 +504,7 @@ class SchedulerService:
                       fingerprint=fingerprint, future=future,
                       priority=request.priority)
             try:
-                victim = self.queue.put_nowait(job, shed=self.config.shed)
+                victim = self.queue.put_nowait(job)
             except BackpressureError as exc:
                 self._counters["rejected_backpressure"] += 1
                 sp.set(served="backpressure")

@@ -12,6 +12,10 @@ Design notes
 - Immutability: all derived structures (adjacency lists, adjacency matrix,
   link index) are built once in ``__init__`` and cached; this lets routing
   and distance computations treat a topology as a value.
+- One graph walk: :func:`bfs_distances` answers "how far is every node
+  from these sources" over plain adjacency lists.  Topology distances,
+  up*/down* routing, fault components and deadlock analysis all call it
+  instead of keeping their own traversal loops.
 - ``networkx`` interop is provided for tests and visual inspection but no
   core algorithm depends on it.
 """
@@ -23,6 +27,33 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 Link = Tuple[int, int]
+
+
+def bfs_distances(adj: Sequence[Sequence[int]],
+                  sources: Iterable[int]) -> np.ndarray:
+    """Hop count from the nearest of ``sources`` to every node of ``adj``.
+
+    ``adj[u]`` lists the nodes one edge away from node ``u``; edges may be
+    directed.  Returns an int32 array with ``-1`` for nodes no source
+    reaches.  Every graph walk in the package goes through this one
+    function: topology distances, up*/down* state distances, fault
+    components and channel-dependency reachability.
+    """
+    dist = [-1] * len(adj)
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return np.array(dist, dtype=np.int32)
 
 
 def _normalize_link(u: int, v: int) -> Link:
@@ -186,20 +217,7 @@ class Topology:
 
     def is_connected(self) -> bool:
         """True when every switch is reachable from switch 0."""
-        if self._n == 1:
-            return True
-        seen = [False] * self._n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self._n
+        return bool((bfs_distances(self._adj, [0]) >= 0).all())
 
     def hop_distances(self) -> np.ndarray:
         """All-pairs hop distances over the raw graph (BFS; no routing).
@@ -207,22 +225,8 @@ class Topology:
         Unreachable pairs get ``-1``.  Routing-restricted distances live in
         :mod:`repro.routing`; this is the topological baseline.
         """
-        n = self._n
-        dist = np.full((n, n), -1, dtype=np.int64)
-        for src in range(n):
-            dist[src, src] = 0
-            frontier = [src]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for u in frontier:
-                    for v in self._adj[u]:
-                        if dist[src, v] < 0:
-                            dist[src, v] = d
-                            nxt.append(v)
-                frontier = nxt
-        return dist
+        return np.array([bfs_distances(self._adj, [s]) for s in range(self._n)],
+                        dtype=np.int64)
 
     def diameter(self) -> int:
         """Longest shortest path over the raw graph; raises if disconnected."""
@@ -393,4 +397,4 @@ class Topology:
         )
 
 
-__all__ = ["Topology", "Link"]
+__all__ = ["Topology", "Link", "bfs_distances"]

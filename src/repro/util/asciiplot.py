@@ -16,14 +16,6 @@ Series = Tuple[Sequence[float], Sequence[float]]
 _MARKERS = "ox+*#@%&"
 
 
-def _nice_ticks(lo: float, hi: float, n: int) -> List[float]:
-    """n roughly-even tick values covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / max(1, n - 1)
-    return [lo + i * step for i in range(n)]
-
-
 def _fmt(x: float) -> str:
     if x == 0:
         return "0"

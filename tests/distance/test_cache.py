@@ -178,15 +178,6 @@ class TestCachedBuilders:
 
 
 class TestModuleCacheToggle:
-    def test_disabled_cache_builds_fresh(self, routing8):
-        configure_cache(enabled=False)
-        try:
-            t1 = cached_distance_table(routing8)
-            t2 = cached_distance_table(routing8)
-            assert t1 is not t2
-        finally:
-            configure_cache(enabled=True)
-
     def test_enabled_cache_shares(self, routing8):
-        configure_cache(enabled=True, clear=True)
+        configure_cache(clear=True)
         assert cached_distance_table(routing8) is cached_distance_table(routing8)

@@ -3,11 +3,14 @@
 ``shortest_path_supports`` computes one source's shortest-path link sets
 in a single array expression, and ``build_distance_table`` solves one
 source's resistor networks in stacked pseudoinverses.  The oracles below
-are the per-pair computations they replaced: a state-edge scan per pair,
-and one dense Laplacian and ``pinv`` per pair.  Results must be equal bit
-for bit.
+are the per-pair computations they replaced: a state-edge scan per pair
+over a state graph and BFS of their own, built only from the public
+``is_up`` and ``topology.links``, and one dense Laplacian and ``pinv`` per
+pair.  Results must be equal bit for bit.
 """
 
+from collections import deque
+from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
@@ -21,25 +24,50 @@ from repro.routing.updown import UpDownRouting
 from repro.topology.irregular import random_irregular_topology
 
 
+@lru_cache(maxsize=None)
+def _state_edges(routing):
+    """Up*/down* state graph rebuilt from the public ``is_up``: an up hop
+    keeps phase UP, a down hop from either phase lands in DOWN."""
+    edges = []
+    for u, v in routing.topology.links:
+        for a, b in ((u, v), (v, u)):
+            if routing.is_up(a, b):
+                edges.append(((a, Phase.UP), (b, Phase.UP)))
+            else:
+                edges.append(((a, Phase.UP), (b, Phase.DOWN)))
+                edges.append(((a, Phase.DOWN), (b, Phase.DOWN)))
+    return tuple(edges)
+
+
+def _queue_bfs(edges, sources):
+    """Hop distance from the nearest source to every reached state."""
+    succ = {}
+    for x, y in edges:
+        succ.setdefault(x, []).append(y)
+    dist = {s: 0 for s in sources}
+    queue = deque(sources)
+    while queue:
+        x = queue.popleft()
+        for y in succ.get(x, ()):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 def oracle_updown_links(routing, src, dst):
-    """Scan every state edge for one pair: forward BFS from ``src``,
-    backward distances to ``dst``."""
+    """Scan every state edge for one pair: forward BFS from ``(src, UP)``,
+    backward BFS to either phase of ``dst``."""
     if src == dst:
         return frozenset()
-    df = routing._forward_bfs(src)
-    db = routing._backward_dist(dst)
-    total = min(int(df[p, dst]) for p in (Phase.UP, Phase.DOWN) if df[p, dst] >= 0)
-    links = set()
-    for phase in (Phase.UP, Phase.DOWN):
-        for u in range(routing.topology.num_switches):
-            fu = df[phase, u]
-            if fu < 0:
-                continue
-            for v, nphase in routing._succ[phase][u]:
-                bv = db[nphase, v]
-                if bv >= 0 and fu + 1 + bv == total:
-                    links.add((u, v) if u < v else (v, u))
-    return frozenset(links)
+    edges = _state_edges(routing)
+    df = _queue_bfs(edges, [(src, Phase.UP)])
+    db = _queue_bfs([(y, x) for x, y in edges], [(dst, Phase.UP), (dst, Phase.DOWN)])
+    total = min(df[(dst, p)] for p in Phase if (dst, p) in df)
+    return frozenset(
+        (min(x[0], y[0]), max(x[0], y[0])) for x, y in edges
+        if x in df and y in db and df[x] + 1 + db[y] == total
+    )
 
 
 def oracle_minimal_links(routing, src, dst, d):

@@ -1,4 +1,4 @@
-"""Tests for the fault-injection study (new driver and legacy view)."""
+"""Tests for the fault-injection study."""
 
 import gc
 import warnings
@@ -10,11 +10,9 @@ from repro.core.mapping import Workload
 from repro.core.scheduler import CommunicationAwareScheduler
 from repro.experiments.common import ExperimentSetup, paper_16switch_setup
 from repro.experiments.failures import (
-    FailureRow,
-    FailureStudyResult,
-    render_failure_study,
+    FaultRow,
+    FaultStudyResult,
     render_fault_study,
-    run_failure_study,
     run_fault_study,
     simulate_fault_impact,
 )
@@ -25,6 +23,20 @@ from repro.routing.updown import UpDownRouting
 from repro.search.tabu import TabuSearch
 from repro.topology.designed import star_topology
 from repro.topology.irregular import random_irregular_topology
+
+
+def _single_links(links):
+    return [FaultScenario(links=(link,)) for link in links]
+
+
+def _row(full_machine, degraded, repaired, rescheduled):
+    """A study row with the given survivability and C_c outcomes."""
+    return FaultRow(
+        scenario=FaultScenario(links=((0, 1),)), connected=full_machine,
+        full_machine=full_machine, num_components=1 if full_machine else 2,
+        c_c_before=4.0, c_c_degraded=degraded, c_c_repaired=repaired,
+        c_c_rescheduled=rescheduled, repair_seconds=0.0,
+        reschedule_seconds=0.0, placed_clusters=1, unplaced_clusters=0)
 
 
 def _setup_for(topo, clusters, *, seed=1, search=None):
@@ -48,7 +60,7 @@ def setup16():
 @pytest.fixture(scope="module")
 def study(setup16):
     # Subset of links keeps the test quick; the bench does all of them.
-    return run_failure_study(setup16, links=setup16.topology.links[:8])
+    return run_fault_study(setup16, _single_links(setup16.topology.links[:8]))
 
 
 class TestFailureStudy:
@@ -58,7 +70,7 @@ class TestFailureStudy:
     def test_3regular_network_survives_single_failures(self, study):
         # A 3-regular random connected graph is almost surely 2-edge-
         # connected; our seeded topology is (verified here).
-        assert all(r.still_connected for r in study.rows)
+        assert all(r.connected for r in study.rows)
 
     def test_updown_reconnects_after_failure(self, setup16):
         for link in setup16.topology.links[:8]:
@@ -77,7 +89,7 @@ class TestFailureStudy:
         for r in study.survivable:
             assert r.c_c_degraded > 0
             assert r.c_c_rescheduled >= r.c_c_degraded - 1e-9
-        assert study.all_survivable_rescheduled_ok()
+        assert study.all_survivable_repaired_ok()
 
     def test_disconnecting_failure_marked(self):
         # Star topology: every link failure disconnects a leaf.
@@ -95,56 +107,56 @@ class TestFailureStudy:
             routing_table=RoutingTable(sched.routing),
             seed=1,
         )
-        res = run_failure_study(setup, links=[(0, 1)])
-        assert not res.rows[0].still_connected
+        res = run_fault_study(setup, _single_links([(0, 1)]))
+        assert not res.rows[0].connected
         assert res.rows[0].c_c_degraded is None
 
     def test_render(self, study):
-        out = render_failure_study(study)
+        out = render_fault_study(study)
         assert "failure injection" in out
         assert "survivable failures: 8/8" in out
 
     def test_recovery_property(self):
-        row = FailureRow((0, 1), True, 4.0, 2.0, 3.0)
-        assert row.recovery == pytest.approx(1.0)
-        row2 = FailureRow((0, 1), False, 4.0, None, None)
-        assert row2.recovery is None
+        row = _row(True, 1.5, 2.0, 3.0)
+        assert row.repair_gap == pytest.approx(1.0)
+        row2 = _row(False, None, None, None)
+        assert row2.repair_gap is None
 
 
 class TestFailureStudyEdgeCases:
     def test_disconnected_rows_excluded_from_survivable(self):
         rows = [
-            FailureRow((0, 1), True, 4.0, 3.5, 3.8),
-            FailureRow((0, 2), False, 4.0, None, None),
-            FailureRow((0, 3), False, 4.0, None, None),
+            _row(True, 3.5, 3.6, 3.8),
+            _row(False, None, None, None),
+            _row(False, None, None, None),
         ]
-        res = FailureStudyResult(rows)
+        res = FaultStudyResult(rows, baseline_c_c=4.0)
         assert len(res.survivable) == 1
         # Disconnected rows (c_c None) must not crash the check.
-        assert res.all_survivable_rescheduled_ok()
+        assert res.all_survivable_repaired_ok()
 
     def test_all_disconnected_is_vacuously_ok(self):
-        rows = [FailureRow((0, 1), False, 4.0, None, None)]
-        res = FailureStudyResult(rows)
+        rows = [_row(False, None, None, None)]
+        res = FaultStudyResult(rows, baseline_c_c=4.0)
         assert res.survivable == []
-        assert res.all_survivable_rescheduled_ok()
+        assert res.all_survivable_repaired_ok()
 
     def test_regression_detected(self):
-        rows = [FailureRow((0, 1), True, 4.0, 3.5, 3.0)]
-        assert not FailureStudyResult(rows).all_survivable_rescheduled_ok()
+        rows = [_row(True, 3.5, 3.5, 3.0)]
+        assert not FaultStudyResult(rows, 4.0).all_survivable_repaired_ok()
 
     def test_empty_links_gives_empty_study(self, setup16):
-        res = run_failure_study(setup16, links=[])
+        res = run_fault_study(setup16, [])
         assert res.rows == []
         assert res.survivable == []
-        assert res.all_survivable_rescheduled_ok()
-        assert "survivable failures: 0/0" in render_failure_study(res)
+        assert res.all_survivable_repaired_ok()
+        assert "survivable failures: 0/0" in render_fault_study(res)
 
     def test_recovery_none_when_rescheduling_skipped(self):
-        row = FailureRow((0, 1), False, 4.0, None, None)
-        assert row.recovery is None
-        # Partial skips too (degraded known, reschedule skipped).
-        assert FailureRow((0, 1), True, 4.0, 3.0, None).recovery is None
+        row = _row(False, None, None, None)
+        assert row.repair_gap is None
+        # Partial skips too (repair known, reschedule skipped).
+        assert _row(True, 3.0, 3.2, None).repair_gap is None
 
 
 @given(st.integers(0, 10_000))
@@ -159,8 +171,8 @@ def test_all_survivable_rescheduled_ok_is_invariant(seed):
     topo = random_irregular_topology(8, seed=7, name="prop8")
     setup = _setup_for(topo, 2, seed=seed,
                        search=TabuSearch(restarts=2, max_iterations=8))
-    res = run_failure_study(setup, links=topo.links[:4], seed=seed)
-    assert res.all_survivable_rescheduled_ok()
+    res = run_fault_study(setup, _single_links(topo.links[:4]), seed=seed)
+    assert res.all_survivable_repaired_ok()
 
 
 class TestFaultStudy:

@@ -1,9 +1,12 @@
 """Tests for the degraded-network view: components, routing, verification."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.degrade import degrade
 from repro.faults.model import FaultScenario
+from repro.topology.graph import Topology
 from repro.topology.designed import ring_topology, star_topology
 
 
@@ -84,3 +87,32 @@ class TestComponents:
         assert net.host_capacity == topo8.num_hosts - topo8.hosts_per_switch
         assert not net.full_machine
         assert 0 not in net.surviving_switches
+
+
+@st.composite
+def faulted_networks(draw):
+    """A random simple graph (possibly disconnected) and a fault scenario
+    over some of its links and fewer than all of its switches."""
+    n = draw(st.integers(2, 12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    links = draw(st.lists(st.sampled_from(possible), unique=True, max_size=20))
+    topo = Topology(n, links, hosts_per_switch=4, switch_ports=4 + n)
+    failed_links = draw(st.lists(st.sampled_from(links), unique=True)) \
+        if links else []
+    failed_switches = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                    max_size=n - 1))
+    return topo, FaultScenario(links=failed_links, switches=failed_switches)
+
+
+@given(faulted_networks())
+@settings(max_examples=80, deadline=None)
+def test_components_match_networkx(network):
+    """Property: degrade's components are networkx's connected components
+    of the surviving graph, largest first, ties by lowest member id."""
+    topo, scenario = network
+    g = topo.to_networkx()
+    g.remove_edges_from(scenario.links)
+    g.remove_nodes_from(scenario.switches)
+    expected = sorted((tuple(sorted(c)) for c in nx.connected_components(g)),
+                      key=lambda c: (-len(c), c[0]))
+    assert [c.switches for c in degrade(topo, scenario).components] == expected

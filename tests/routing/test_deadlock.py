@@ -66,3 +66,44 @@ class TestCdgStructure:
                 for (a, b) in succs:
                     assert not routing16.is_up(a, b), \
                         "down->up dependency violates up*/down*"
+
+
+def oracle_cdg(routing):
+    """The per-pair CDG walk: for every (src, dst), breadth-first over the
+    (switch, phase) states reachable through ``next_hops``."""
+    topo = routing.topology
+    deps = {c: set() for u, v in topo.links for c in ((u, v), (v, u))}
+    for dst in range(topo.num_switches):
+        for src in range(topo.num_switches):
+            if src == dst:
+                continue
+            seen = set()
+            frontier = [(src, routing.initial_phase())]
+            while frontier:
+                nxt = []
+                for s, p in frontier:
+                    if (s, p) in seen:
+                        continue
+                    seen.add((s, p))
+                    for v1, p1 in routing.next_hops(s, p, dst):
+                        for v2, _ in routing.next_hops(v1, p1, dst):
+                            deps[(s, v1)].add((v1, v2))
+                        nxt.append((v1, p1))
+                frontier = nxt
+    return deps
+
+
+class TestCdgMatchesPerPairWalk:
+    @pytest.mark.parametrize("n, seed", [(8, 0), (12, 1), (16, 2), (24, 3)])
+    def test_seeded_irregular(self, n, seed):
+        topo = random_irregular_topology(n, seed=seed)
+        for routing in (UpDownRouting(topo), UpDownRouting(topo, root=n - 1),
+                        MinimalRouting(topo)):
+            assert channel_dependency_graph(routing) == oracle_cdg(routing)
+
+    @pytest.mark.parametrize("topo", [ring_topology(6), torus_topology(3, 3),
+                                      four_rings_topology()],
+                             ids=["ring6", "torus3x3", "four_rings"])
+    def test_regular(self, topo):
+        for routing in (UpDownRouting(topo), MinimalRouting(topo)):
+            assert channel_dependency_graph(routing) == oracle_cdg(routing)

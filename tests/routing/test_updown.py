@@ -114,6 +114,7 @@ class TestNextHops:
     def test_progress_invariant(self, routing16):
         # Following any returned hop decreases the remaining distance by 1.
         d = routing16.distances()
+        _, rest = routing16._state_distances()
         for src in range(16):
             for dst in range(16):
                 if src == dst:
@@ -121,8 +122,7 @@ class TestNextHops:
                 hops = routing16.next_hops(src, Phase.UP, dst)
                 assert hops, f"no first hop {src}->{dst}"
                 for v, ph in hops:
-                    rest = routing16._backward_dist(dst)
-                    assert rest[ph, v] == d[src, dst] - 1
+                    assert rest[dst, ph * 16 + v] == d[src, dst] - 1
 
     def test_down_phase_never_goes_up(self, topo16, routing16):
         for src in range(16):
@@ -205,6 +205,6 @@ class TestCaching:
         assert a is b
 
     def test_backward_cache(self, routing16):
-        a = routing16._backward_dist(5)
-        b = routing16._backward_dist(5)
-        assert a is b
+        a = routing16._state_distances()
+        b = routing16._state_distances()
+        assert a[1] is b[1]

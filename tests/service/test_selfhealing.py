@@ -152,7 +152,7 @@ class TestLoadShedding:
             queue.put_nowait(self.job(0, "old-low"))
             queue.put_nowait(self.job(1, "mid"))
             queue.put_nowait(self.job(0, "young-low"))
-            victim = queue.put_nowait(self.job(2, "urgent"), shed=True)
+            victim = queue.put_nowait(self.job(2, "urgent"))
             return victim, queue
 
         victim, queue = asyncio.run(_go())
@@ -169,21 +169,12 @@ class TestLoadShedding:
             queue.put_nowait(self.job(5, "a"))
             queue.put_nowait(self.job(5, "b"))
             with pytest.raises(BackpressureError):
-                queue.put_nowait(self.job(5, "c"), shed=True)
+                queue.put_nowait(self.job(5, "c"))
             with pytest.raises(BackpressureError):
-                queue.put_nowait(self.job(1, "d"), shed=True)
+                queue.put_nowait(self.job(1, "d"))
             return queue.depth
 
         assert asyncio.run(_go()) == 2
-
-    def test_shed_disabled_keeps_the_historical_backpressure(self):
-        async def _go():
-            queue = JobQueue(max_pending=1)
-            queue.put_nowait(self.job(0, "a"))
-            with pytest.raises(BackpressureError):
-                queue.put_nowait(self.job(9, "b"))
-
-        asyncio.run(_go())
 
 
 class TestStoreIntegrity:
