@@ -10,12 +10,13 @@ candidates on shortest legal continuations.
 
 The table additionally hosts the *engine caches*: per-slot routing-candidate
 stores that every simulation engine (fast, vector) used to rebuild
-per instantiation.  Candidates depend only on the routing table and the
-channel layout (which is a pure function of topology + ``virtual_channels``)
-plus the adaptive flag, so one store per ``(virtual_channels, adaptive)``
-key can be shared by every engine instance on the same table — see
-:meth:`candidate_cache`.  The caches are dropped on pickling (pool workers
-rebuild them lazily) so they never bloat job payloads.
+per instantiation.  Candidates depend only on the routing table, the
+channel layout (a pure function of the topology: the fast and vector
+kernels model one virtual channel per link) and the adaptive flag, so one
+store per ``adaptive`` value can be shared by every engine instance on the
+same table — see :meth:`candidate_cache`.  The caches are dropped on
+pickling (pool workers rebuild them lazily) so they never bloat job
+payloads.
 """
 
 from __future__ import annotations
@@ -72,22 +73,20 @@ class RoutingTable:
         return entry
 
     def candidate_cache(
-        self, virtual_channels: int, adaptive: bool,
+        self, adaptive: bool,
     ) -> Dict[Tuple[int, Phase, int], Tuple[Tuple[int, int, Phase], ...]]:
-        """The shared per-slot routing-candidate store for the engines.
+        """The shared per-slot routing-candidate store for the fast engine.
 
         Maps ``(head_switch, phase, dst_switch)`` to the reference
         engine's free-list construction order of ``(cid, neighbor,
-        next_phase)`` candidates (hop-major, VC-minor; truncated to the
-        first hop when ``adaptive`` is false).  The dict is created empty
-        once per ``(virtual_channels, adaptive)`` and filled lazily by
-        whichever engine first needs each key — the content is a pure
-        function of the key, so sharing is safe and every later engine
-        instance on this table starts warm.
+        next_phase)`` candidates (one channel per directed link, in hop
+        order; truncated to the first hop when ``adaptive`` is false).
+        The dict is created empty once per ``adaptive`` value and filled
+        lazily by whichever engine first needs each key — the content is
+        a pure function of the key, so sharing is safe and every later
+        engine instance on this table starts warm.
         """
-        return self.engine_cache(
-            ("candidates", int(virtual_channels), bool(adaptive))
-        )
+        return self.engine_cache(("candidates", bool(adaptive)))
 
     def __getstate__(self):
         state = self.__dict__.copy()

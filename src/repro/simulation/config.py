@@ -14,6 +14,15 @@ from typing import Optional
 
 from repro.util.validation import check_positive
 
+#: Engine names accepted by ``SimulationConfig.engine``.
+#: ``reference``/``fast`` are bit-identical to each other; ``vector`` is
+#: deterministic per seed but only statistically equivalent (see
+#: :mod:`repro.simulation.equivalence`).
+ENGINE_NAMES = ("reference", "fast", "vector")
+
+#: The subset of :data:`ENGINE_NAMES` under the bit-identical contract.
+BIT_IDENTICAL_ENGINES = ("reference", "fast")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -32,6 +41,8 @@ class SimulationConfig:
         (each with its own ``buffer_flits`` FIFO; the link still moves at
         most 1 flit/cycle).  The paper's setting is 1; >1 reduces
         head-of-line blocking and is exercised by the VC ablation bench.
+        Only the reference engine models more than one: a multi-VC run
+        always executes on ``"reference"``, whatever ``engine`` says.
     adaptive:
         ``True``: the header may take any free legal shortest output port
         (selected uniformly at random); ``False``: deterministic routing —
@@ -64,7 +75,10 @@ class SimulationConfig:
         is opt-in and relaxes the contract to *statistical
         equivalence* — deterministic per seed, same latency/throughput
         distributions, different draw order (enforced by
-        ``tests/simulation/test_engine_equivalence.py``).
+        ``tests/simulation/test_engine_equivalence.py``).  With
+        ``virtual_channels > 1`` every name runs the reference engine, so
+        such a result's ``meta["engine"]`` reads ``"reference"`` (a key
+        :func:`~repro.simulation.engine.canonical_payload` excludes).
     """
 
     message_length: int = 16
@@ -89,11 +103,10 @@ class SimulationConfig:
             raise ValueError(f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
         check_positive(self.measure_cycles, "measure_cycles")
         check_positive(self.queue_capacity, "queue_capacity")
-        if self.engine not in ("reference", "fast", "vector"):
+        if self.engine not in ENGINE_NAMES:
             raise ValueError(
-                f"engine must be 'reference', 'fast' or 'vector', "
-                f"got {self.engine!r}"
+                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
 
 
-__all__ = ["SimulationConfig"]
+__all__ = ["BIT_IDENTICAL_ENGINES", "ENGINE_NAMES", "SimulationConfig"]

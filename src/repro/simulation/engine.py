@@ -24,6 +24,9 @@ The statistical tier:
 :func:`make_simulator` dispatches on ``SimulationConfig.engine``; everything
 downstream (load sweeps, saturation probes, the figure drivers, the CLI)
 goes through it, so one config field switches the whole evaluation stack.
+Multi-VC configurations (``virtual_channels > 1``, an extension beyond the
+paper) always run on the reference engine: the ``fast`` and ``vector``
+kernels model one virtual channel per link.
 
 Observability: every engine fills an :class:`EnginePerf` — per-phase wall
 times, skipped-cycle counts and arbitration conflict counters.  Wall times
@@ -40,18 +43,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Protocol, runtime_checkable
 
 from repro.obs import metrics as _metrics
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import (
+    BIT_IDENTICAL_ENGINES,
+    ENGINE_NAMES,
+    SimulationConfig,
+)
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import TrafficPattern
-
-#: Engine names accepted by ``SimulationConfig.engine``.
-#: ``reference``/``fast`` are bit-identical to each other; ``vector`` is
-#: deterministic per seed but only statistically equivalent (see
-#: :mod:`repro.simulation.equivalence`).
-ENGINE_NAMES = ("reference", "fast", "vector")
-
-#: The subset of :data:`ENGINE_NAMES` under the bit-identical contract.
-BIT_IDENTICAL_ENGINES = ("reference", "fast")
 
 
 @dataclass
@@ -144,8 +142,14 @@ def make_simulator(routing_table, traffic: TrafficPattern,
     ``vector`` engine is deterministic per seed but relaxes the contract
     to statistical equivalence (validated by the equivalence suite) in
     exchange for numpy vectorization across replications.
+
+    This is the one place that maps ``(engine, virtual_channels)`` to a
+    class: the ``fast`` and ``vector`` kernels model one virtual channel
+    per link, so any ``virtual_channels > 1`` config runs on the
+    reference engine whatever ``engine`` says (its ``meta["engine"]``
+    then reads ``"reference"``).
     """
-    if config.engine == "reference":
+    if config.engine == "reference" or config.virtual_channels > 1:
         from repro.simulation.network import WormholeNetworkSimulator
 
         return WormholeNetworkSimulator(routing_table, traffic,
@@ -156,10 +160,12 @@ def make_simulator(routing_table, traffic: TrafficPattern,
         return FastWormholeNetworkSimulator(routing_table, traffic,
                                             injection_rate, config)
     if config.engine == "vector":
-        from repro.simulation.engine_vector import build_vector_simulator
+        from repro.simulation.engine_vector import (
+            VectorWormholeNetworkSimulator,
+        )
 
-        return build_vector_simulator(routing_table, traffic,
-                                      injection_rate, config)
+        return VectorWormholeNetworkSimulator(routing_table, traffic,
+                                              injection_rate, config)
     raise ValueError(
         f"unknown engine {config.engine!r}; expected one of {ENGINE_NAMES}"
     )

@@ -21,23 +21,20 @@ What is different is the representation and the work skipped:
   vectorize cleanly (a flit draining at the head frees buffer space that the
   same cycle's upstream flits may enter).
 
-- **Worm dormancy** (``virtual_channels == 1`` only).  A worm whose header
-  lost no arbitration draw (its candidate channels were *all* owned, or its
-  destination had zero delivery channels available — both cases consume no
-  RNG in the reference engine) and whose flits cannot move is put to sleep.
+- **Worm dormancy.**  A worm whose header lost no arbitration draw (its
+  candidate channels were *all* owned, or its destination had zero
+  delivery channels available — both cases consume no RNG in the
+  reference engine) and whose flits cannot move is put to sleep.
   It is woken by watcher lists the moment one of its candidate channels is
   released or a delivery channel frees up at its destination switch; stale
   watcher entries are invalidated by per-slot epoch counters.  At saturation
   the vast majority of worms are blocked most cycles, so this removes most
-  per-cycle work.  With ``virtual_channels > 1`` the shared physical-link
-  budgets couple worms, so dormancy is disabled and the engine runs the
-  budgeted, rotation-ordered path.
+  per-cycle work.
 
-- **Sealed drains** (``virtual_channels == 1`` only).  Once a worm acquires
-  a delivery channel its remaining trajectory is deterministic: the chain is
-  frozen (no further arbitration, no RNG), the head consumes one flit per
-  cycle whenever one is buffered, and exclusive ownership decouples it from
-  every other worm.  The engine therefore *seals* it — the whole remainder
+- **Sealed drains.**  Once a worm acquires a delivery channel its
+  remaining trajectory is deterministic: the chain is frozen (no further
+  arbitration, no RNG), the head consumes one flit per cycle whenever one
+  is buffered, and exclusive ownership decouples it from every other worm.  The engine therefore *seals* it — the whole remainder
   (drain cycles, tail releases, completion cycle) is computed once in a
   tight local loop, channel releases are replayed as timed events at the
   top of the cycle where the reference-freed channel first becomes
@@ -59,12 +56,15 @@ What is different is the representation and the work skipped:
   recorded in ``perf.cycles_skipped``.
 
 - **Candidate caching.**  The ``(head_switch, phase, dst)`` → free-channel
-  candidate list (hop-major, VC-minor — the reference construction order)
-  is memoised, replacing the per-cycle routing-table walk and channel-map
+  candidate list (in hop order, the reference construction order) is
+  memoised, replacing the per-cycle routing-table walk and channel-map
   lookups.
 
-Construct via :func:`repro.simulation.engine.make_simulator` with
-``SimulationConfig(engine="fast")`` (the default).
+The kernel models the paper's setting, one virtual channel per link, and
+its constructor rejects anything else.  Construct via
+:func:`repro.simulation.engine.make_simulator` with
+``SimulationConfig(engine="fast")`` (the default); ``make_simulator`` runs
+multi-VC configurations on the reference engine.
 """
 
 from __future__ import annotations
@@ -98,6 +98,12 @@ class FastWormholeNetworkSimulator:
                  injection_rate: float, config: SimulationConfig = SimulationConfig()):
         if injection_rate < 0:
             raise ValueError(f"injection_rate must be >= 0, got {injection_rate}")
+        if config.virtual_channels != 1:
+            raise ValueError(
+                "FastWormholeNetworkSimulator requires virtual_channels"
+                " == 1; build via make_simulator, which runs multi-VC"
+                " configs on the reference engine"
+            )
         self.table = routing_table
         self.topology = routing_table.topology
         self.traffic = traffic
@@ -107,31 +113,17 @@ class FastWormholeNetworkSimulator:
 
         topo = self.topology
         # --- channel layout: identical ids to the reference engine ----------
-        vcs = config.virtual_channels
-        self.chan_of: Dict[Tuple[int, int], List[int]] = {}
-        self.sink_switch: List[int] = []
-        self.phys_of: List[int] = []
-        phys = 0
+        # One channel per directed link, then one injection channel per host.
+        self.chan_of: Dict[Tuple[int, int], int] = {}
+        cid = 0
         for u, v in topo.links:
             for a, b in ((u, v), (v, u)):
-                cids = []
-                for _ in range(vcs):
-                    cids.append(len(self.sink_switch))
-                    self.sink_switch.append(b)
-                    self.phys_of.append(phys)
-                self.chan_of[(a, b)] = cids
-                phys += 1
-        self.inj_base = len(self.sink_switch)
-        self._host_switch: List[int] = []
-        for h in range(topo.num_hosts):
-            sw = topo.host_switch(h)
-            self._host_switch.append(sw)
-            self.sink_switch.append(sw)
-            self.phys_of.append(phys)
-            phys += 1
-        self.num_channels = len(self.sink_switch)
-        self.num_physical = phys
-        self._link_budget = [1] * self.num_physical
+                self.chan_of[(a, b)] = cid
+                cid += 1
+        self.inj_base = cid
+        self._host_switch: List[int] = [topo.host_switch(h)
+                                        for h in range(topo.num_hosts)]
+        self.num_channels = cid + topo.num_hosts
         # Channel owner as a slot index; -1 = free.
         self.owner: List[int] = [-1] * self.num_channels
 
@@ -213,9 +205,6 @@ class FastWormholeNetworkSimulator:
             [[] for _ in range(self.num_channels)]
         self._deliv_watch: List[List[Tuple[int, int]]] = \
             [[] for _ in range(topo.num_switches)]
-        # Awake snapshot shared between the arbitration and move phases of
-        # one cycle (rebuilt at the top of _arbitrate).
-        self._awake_list: List[int] = []
 
         # Sealed-drain replay state: channel-release events applied at the
         # top of their cycle, completion events popped during the move
@@ -240,13 +229,13 @@ class FastWormholeNetworkSimulator:
                 self._gap_denom[h] = math.log1p(-r)
 
         # (head_switch, phase, dst) -> ((cid, neighbor, phase), ...) in the
-        # reference free-list construction order (hop-major, VC-minor).
-        # Shared across every engine instance on this routing table (the
-        # content is a pure function of table + vcs + adaptive), so a
-        # second simulator starts with the store already warm.
+        # reference free-list construction order (hop order).  Shared
+        # across every engine instance on this routing table (the content
+        # is a pure function of table + adaptive), so a second simulator
+        # starts with the store already warm.
         self._cand_cache: Dict[Tuple[int, Phase, int],
                                Tuple[Tuple[int, int, Phase], ...]] = \
-            routing_table.candidate_cache(vcs, config.adaptive)
+            routing_table.candidate_cache(config.adaptive)
         # Per-slot memo of the current (head_switch, phase, dst) candidate
         # tuple, refreshed at injection and at every hop grant — the only
         # places the key can change — so the per-cycle arbitration scan
@@ -277,79 +266,6 @@ class FastWormholeNetworkSimulator:
         return max(1, math.ceil(math.log(max(u, 1e-300)) / math.log1p(-rate))) \
             if rate < 1.0 else 1
 
-    def _generate_arrivals(self) -> None:
-        arrivals = self._arrivals
-        if not arrivals or arrivals[0][0] > self.cycle:
-            return
-        cap = self.config.queue_capacity
-        cycle = self.cycle
-        rng = self.rng
-        length = self.config.message_length
-        record = self.config.record_trace
-        while arrivals and arrivals[0][0] <= cycle:
-            due, h = heapq.heappop(arrivals)
-            q = self.queues[h]
-            if len(q) >= cap:
-                # Source throttled.  The reference engine re-pushes
-                # (cycle + 1, h) every cycle; parking is draw-free and
-                # re-creates exactly the entry the reference would hold
-                # live when the queue next has room (see _start_injections).
-                self._parked_list[h] = True
-                continue
-            dst = self.traffic.dest_for(h, rng)
-            mid = self._next_mid
-            self._next_mid += 1
-            self.generated += 1
-            if record:
-                self.trace.append((cycle, h, dst, length))
-            q.append((mid, dst, cycle))
-            self._queued_total += 1
-            if self.owner[self.inj_base + h] < 0:
-                self._inj_ready.add(h)
-            heapq.heappush(arrivals, (cycle + self._gap(self._host_rate[h]), h))
-
-    def _start_injections(self) -> None:
-        ready = self._inj_ready
-        if not ready:
-            return
-        owner = self.owner
-        inj_base = self.inj_base
-        cycle = self.cycle
-        free_slots = self._free_slots
-        row_w = self._row_w
-        length = self.config.message_length
-        initial_phase = self._initial_phase
-        host_switch = self._host_switch
-        for h in sorted(ready, key=self._host_pos.__getitem__):
-            q = self.queues[h]
-            cid = inj_base + h
-            mid, dst, gen_at = q.popleft()
-            self._queued_total -= 1
-            if self._parked_list[h]:
-                # The queue has room again: restore the retry entry the
-                # reference engine keeps live while throttled.
-                self._parked_list[h] = False
-                heapq.heappush(self._arrivals, (cycle + 1, h))
-            slot = free_slots.pop()
-            base = slot * row_w
-            self._chain[base] = cid
-            self._occ[base] = 0
-            self._tcol[slot] = base
-            self._clen[slot] = 1
-            self._to_inject[slot] = length
-            self._consumed[slot] = 0
-            self._head_sw[slot] = host_switch[h]
-            self._dst_sw[slot] = host_switch[dst]
-            self._phase[slot] = initial_phase
-            self._draining[slot] = False
-            self._injected_at[slot] = cycle
-            self._generated_at[slot] = gen_at
-            self._awake[slot] = True
-            self._arb_blocked[slot] = 0
-            owner[cid] = slot
-            self.order.append(slot)
-        ready.clear()
-
     # ------------------------------------------------------------------ #
     # header arbitration
     # ------------------------------------------------------------------ #
@@ -367,92 +283,10 @@ class FastWormholeNetworkSimulator:
                 )
             if not self.config.adaptive:
                 hops = hops[:1]
-            cands = tuple(
-                (cid, w, ph)
-                for w, ph in hops
-                for cid in self.chan_of[(head_sw, w)]
-            )
+            cands = tuple((self.chan_of[(head_sw, w)], w, ph)
+                          for w, ph in hops)
             self._cand_cache[key] = cands
         return cands
-
-    def _arbitrate(self) -> None:
-        owner = self.owner
-        rng = self.rng
-        awake = self._awake
-        draining = self._draining
-        occ = self._occ
-        tcol = self._tcol
-        clen = self._clen
-        head_sw = self._head_sw
-        dst_sw = self._dst_sw
-        phase = self._phase
-        arb_blocked = self._arb_blocked
-        cand_cache = self._cand_cache
-        requests: Dict[int, List[Tuple[int, int, Phase]]] = {}
-        delivery_requests: Dict[int, List[int]] = {}
-
-        # One C-speed filter replaces per-phase interpreter-level dormancy
-        # checks; the move phase reuses the list (worms woken *during* the
-        # move phase are provably static for the rest of the cycle, exactly
-        # as in the reference engine, so the snapshot is safe).
-        awake_list = self._awake_list = [s for s in self.order if awake[s]]
-
-        for slot in awake_list:
-            c = clen[slot]
-            if draining[slot] or c == 0 or occ[tcol[slot] + c - 1] == 0:
-                continue
-            hs = head_sw[slot]
-            ds = dst_sw[slot]
-            arb_blocked[slot] = 0
-            if hs == ds:
-                delivery_requests.setdefault(hs, []).append(slot)
-                continue
-            cands = cand_cache.get((hs, phase[slot], ds))
-            if cands is None:
-                cands = self._candidates(hs, phase[slot], ds)
-            free = [cand for cand in cands if owner[cand[0]] < 0]
-            if not free:
-                # All candidate channels owned: the reference engine draws
-                # nothing here, so this worm may sleep if also move-static.
-                arb_blocked[slot] = 1
-                continue
-            cid, w, ph = (free[rng.randrange(len(free))]
-                          if len(free) > 1 else free[0])
-            requests.setdefault(cid, []).append((slot, w, ph))
-
-        perf = self.perf
-        chain = self._chain
-        for cid, reqs in requests.items():
-            perf.arb_requests += 1
-            if len(reqs) > 1:
-                perf.arb_conflicts += 1
-            slot, w, ph = reqs[rng.randrange(len(reqs))] if len(reqs) > 1 else reqs[0]
-            owner[cid] = slot
-            j = tcol[slot] + clen[slot]
-            if j >= (slot + 1) * self._row_w:  # pragma: no cover - guard
-                raise AssertionError(f"chain row overflow for slot {slot}")
-            chain[j] = cid
-            occ[j] = 0
-            clen[slot] += 1
-            head_sw[slot] = w
-            phase[slot] = ph
-
-        avail_delivery = self.avail_delivery
-        for sw, reqs in delivery_requests.items():
-            avail = avail_delivery[sw]
-            if avail <= 0:
-                # No delivery channel and no shuffle draw in the reference
-                # engine: every requester may sleep if also move-static.
-                for slot in reqs:
-                    arb_blocked[slot] = 2
-                continue
-            if len(reqs) > avail:
-                perf.delivery_conflicts += 1
-                rng.shuffle(reqs)
-                reqs = reqs[:avail]
-            for slot in reqs:
-                draining[slot] = True
-                avail_delivery[sw] -= 1
 
     # ------------------------------------------------------------------ #
     # flit movement
@@ -575,87 +409,6 @@ class FastWormholeNetworkSimulator:
         self._epoch[slot] += 1  # invalidate stale watcher entries
         self._live.remove(slot)
 
-    def _move_flits_budgeted(self) -> None:
-        """virtual_channels > 1: shared physical-link budgets couple worms,
-        so process in the reference rotation order with budget accounting
-        (dormancy stays off on this path)."""
-        cap = self.config.buffer_flits
-        owner = self.owner
-        chain = self._chain
-        occ = self._occ
-        phys_of = self.phys_of
-        budget = self._link_budget
-        inj_base = self.inj_base
-        queues = self.queues
-        inj_ready = self._inj_ready
-        for p in range(self.num_physical):
-            budget[p] = 1
-        tcol = self._tcol
-        clen = self._clen
-        to_inject = self._to_inject
-        consumed = self._consumed
-        draining = self._draining
-        length = self.config.message_length
-        cycle = self.cycle
-        measuring = (self.config.warmup_cycles <= cycle
-                     < self.config.warmup_cycles + self.config.measure_cycles)
-        order = self.order
-        n_active = len(order)
-        start = cycle % n_active if n_active else 0
-        completions: List[Tuple[int, int, int]] = []
-
-        for k in range(n_active):
-            idx = (start + k) % n_active
-            slot = order[idx]
-            t = tcol[slot]
-            c = clen[slot]
-            h = t + c - 1
-
-            if draining[slot] and c and occ[h] > 0:
-                occ[h] -= 1
-                consumed[slot] += 1
-                if measuring:
-                    self.flits_consumed_measured += 1
-
-            for i in range(h, t, -1):
-                if occ[i - 1] > 0 and occ[i] < cap:
-                    p = phys_of[chain[i]]
-                    if budget[p] > 0:
-                        budget[p] -= 1
-                        occ[i - 1] -= 1
-                        occ[i] += 1
-
-            ti = to_inject[slot]
-            if ti > 0 and c and occ[t] < cap:
-                p = phys_of[chain[t]]
-                if budget[p] > 0:
-                    budget[p] -= 1
-                    occ[t] += 1
-                    ti -= 1
-                    to_inject[slot] = ti
-
-            while c and ti == 0 and occ[t] == 0:
-                cid = chain[t]
-                owner[cid] = -1
-                if cid >= inj_base and queues[cid - inj_base]:
-                    inj_ready.add(cid - inj_base)
-                t += 1
-                c -= 1
-            tcol[slot] = t
-            clen[slot] = c
-
-            if consumed[slot] >= length:
-                if c:  # pragma: no cover - invariant guard
-                    raise AssertionError(
-                        f"completed worm slot {slot} still holds channels"
-                    )
-                draining[slot] = False
-                self.avail_delivery[self._dst_sw[slot]] += 1
-                completions.append((k, slot, idx))
-
-        if completions:
-            self._finish_completions(completions, measuring, cycle)
-
     def _finish_completions(self, completions: List[Tuple[int, int, int]],
                             measuring: bool, cycle: int) -> None:
         """Record completion statistics in the reference rotation order and
@@ -712,16 +465,9 @@ class FastWormholeNetworkSimulator:
                     if j < rcap:
                         sample[j] = lat
         order = self.order
-        live = self._live
-        sealed = self._sealed
         for _, slot, _ in completions:
             self._awake[slot] = False
-            if sealed[slot]:
-                sealed[slot] = False
-            elif live:
-                # Budgeted-path completions never sealed, so the slot is
-                # still on the live list (vcs == 1 removes it at seal).
-                live.remove(slot)
+            self._sealed[slot] = False
             self._draining[slot] = False
             self._epoch[slot] += 1  # invalidate any stale watcher entries
             self._free_slots.append(slot)
@@ -738,10 +484,7 @@ class FastWormholeNetworkSimulator:
 
     def step(self) -> None:
         """Advance the network by exactly one cycle (never skips)."""
-        if self.config.virtual_channels > 1:
-            self._advance_budgeted(self.cycle + 1, False)
-        else:
-            self._advance(self.cycle + 1, False)
+        self._advance(self.cycle + 1, False)
 
     def run(self) -> SimulationResult:
         """Run warmup + measurement and return the measured point.
@@ -755,10 +498,7 @@ class FastWormholeNetworkSimulator:
         total = self.config.warmup_cycles + self.config.measure_cycles
         with _trace.span("engine.run", engine=self.ENGINE_NAME,
                          rate=self.rate, cycles=total) as sp:
-            if self.config.virtual_channels > 1:
-                self._advance_budgeted(total, True)
-            else:
-                self._advance(total, True)
+            self._advance(total, True)
             result = self._result()
             sp.set(accepted=result.accepted_flits_per_switch_cycle,
                    avg_latency=result.avg_latency)
@@ -766,7 +506,7 @@ class FastWormholeNetworkSimulator:
         return result
 
     def _advance(self, target: int, allow_skip: bool) -> None:
-        """Batched ``virtual_channels == 1`` kernel.
+        """The batched kernel.
 
         One locals-hoisted loop runs every cycle up to ``target`` with the
         four reference phases inlined (arrivals, injections, arbitration,
@@ -1194,39 +934,6 @@ class FastWormholeNetworkSimulator:
         perf.arb_requests += arb_requests
         perf.arb_conflicts += arb_conflicts
         perf.delivery_conflicts += delivery_conflicts
-
-    def _advance_budgeted(self, target: int, allow_skip: bool) -> None:
-        """``virtual_channels > 1`` driver: shared physical-link budgets
-        couple worms, so cycles run through the per-phase methods in the
-        reference rotation order (no dormancy, no sealing) with the same
-        quiescence skip as the batched kernel."""
-        perf = self.perf
-        perf_counter = time.perf_counter
-        arrivals = self._arrivals
-        while self.cycle < target:
-            if allow_skip and not self.order and self._queued_total == 0:
-                nxt = arrivals[0][0] if arrivals else target
-                if nxt > self.cycle:
-                    new_c = nxt if nxt < target else target
-                    perf.cycles_skipped += new_c - self.cycle
-                    self.cycle = new_c
-                    if self.cycle >= target:
-                        break
-            t0 = perf_counter()
-            self._generate_arrivals()
-            t1 = perf_counter()
-            self._start_injections()
-            t2 = perf_counter()
-            self._arbitrate()
-            t3 = perf_counter()
-            self._move_flits_budgeted()
-            t4 = perf_counter()
-            perf.arrivals_seconds += t1 - t0
-            perf.injection_seconds += t2 - t1
-            perf.arbitration_seconds += t3 - t2
-            perf.flit_move_seconds += t4 - t3
-            perf.cycles_executed += 1
-            self.cycle += 1
 
     def _result(self) -> SimulationResult:
         n_sw = self.topology.num_switches

@@ -39,8 +39,9 @@ backward scan produces.  Occupancy rows are **head-aligned** (column 0 is
 the head channel, higher columns trail toward the tail); positions at or
 beyond a worm's chain length always hold zero flits, so the dense column
 ops need no per-worm masks.  Multi-VC configurations fall back to the
-budgeted struct-of-arrays kernel under the vector name (bit-identical to
-``fast``, hence trivially equivalent).
+reference engine: :func:`~repro.simulation.engine.make_simulator` builds
+it and :func:`simulate_batch_vector` loops it, so their results are the
+oracle's own and trivially equivalent.
 
 Batch compatibility rules (checked by :func:`check_batch_compatible`):
 all members share one :class:`~repro.routing.tables.RoutingTable` object
@@ -63,7 +64,11 @@ from repro.obs import trace as _trace
 from repro.routing.base import Phase
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import EnginePerf, record_engine_metrics
+from repro.simulation.engine import (
+    EnginePerf,
+    make_simulator,
+    record_engine_metrics,
+)
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import (
     IntraClusterTraffic,
@@ -1519,8 +1524,8 @@ class VectorWormholeNetworkSimulator:
         if config.virtual_channels != 1:
             raise ValueError(
                 "VectorWormholeNetworkSimulator requires virtual_channels"
-                " == 1; build via make_simulator, which falls back to the"
-                " budgeted kernel for multi-VC configs"
+                " == 1; build via make_simulator, which runs multi-VC"
+                " configs on the reference engine"
             )
         self.table = routing_table
         self.topology = routing_table.topology
@@ -1586,40 +1591,6 @@ class VectorWormholeNetworkSimulator:
         self._core.check_invariants(0)
 
 
-def build_vector_simulator(routing_table: RoutingTable,
-                           traffic: TrafficPattern,
-                           injection_rate: float,
-                           config: SimulationConfig):
-    """The ``engine="vector"`` factory used by ``make_simulator``.
-
-    ``virtual_channels == 1`` (the paper's setting) gets the vectorized
-    kernel; multi-VC configurations use the budgeted struct-of-arrays
-    kernel relabelled as the vector engine (bit-identical to ``fast``,
-    hence trivially statistically equivalent).
-    """
-    if config.virtual_channels == 1:
-        return VectorWormholeNetworkSimulator(routing_table, traffic,
-                                              injection_rate, config)
-    return _BudgetedVectorFallback(routing_table, traffic, injection_rate,
-                                   config)
-
-
-def _make_fallback():
-    # Deferred import: engine_vector and engine_fast share the engine
-    # module; import at call time keeps module import order flexible.
-    from repro.simulation.engine_fast import FastWormholeNetworkSimulator
-
-    class _BudgetedVectorFallback(FastWormholeNetworkSimulator):
-        """Multi-VC fallback: the budgeted kernel under the vector label."""
-
-        ENGINE_NAME = "vector"
-
-    return _BudgetedVectorFallback
-
-
-_BudgetedVectorFallback = _make_fallback()
-
-
 def _record_vector_metrics(core: _VectorCore) -> None:
     """Vector-specific observability counters (no-op when telemetry off)."""
     if _metrics.current_registry() is None:
@@ -1643,9 +1614,9 @@ def simulate_batch_vector(
     member's result is deterministic given its seed and independent of
     the batch composition (per-replication counter RNG streams, disjoint
     state partitions), but only statistically equivalent to the
-    bit-identical engines.  Raises :class:`BatchCompatibilityError`
-    unless the jobs share one routing-table object and one
-    ``virtual_channels`` value.
+    bit-identical engines.  Multi-VC jobs run one by one on the reference
+    engine.  Raises :class:`BatchCompatibilityError` unless the jobs
+    share one routing-table object and one ``virtual_channels`` value.
     """
     jobs = list(jobs)
     check_batch_compatible(jobs)
@@ -1659,21 +1630,19 @@ def simulate_batch_vector(
             core.advance(allow_skip=True)
             results = [core.result(r) for r in range(core.R)]
             _record_vector_metrics(core)
+            for res in results:
+                record_engine_metrics(res)
         else:
-            results = [
-                _BudgetedVectorFallback(table, traffic, rate, cfg).run()
-                for _t, traffic, rate, cfg in jobs
-            ]
+            # Each reference run records its own engine metrics.
+            results = [make_simulator(table, traffic, rate, cfg).run()
+                       for _t, traffic, rate, cfg in jobs]
         sp.set(completed=sum(res.messages_completed for res in results))
-    for res in results:
-        record_engine_metrics(res)
     return results
 
 
 __all__ = [
     "BatchCompatibilityError",
     "VectorWormholeNetworkSimulator",
-    "build_vector_simulator",
     "check_batch_compatible",
     "simulate_batch_vector",
 ]

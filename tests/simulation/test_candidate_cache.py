@@ -36,7 +36,7 @@ def test_fast_engines_share_candidate_store_by_identity():
                        SimulationConfig(seed=3, warmup_cycles=50,
                                         measure_cycles=200))
     assert a._cand_cache is b._cand_cache
-    assert a._cand_cache is table.candidate_cache(1, CFG.adaptive)
+    assert a._cand_cache is table.candidate_cache(CFG.adaptive)
 
 
 def test_second_engine_starts_with_a_warm_store():
@@ -44,7 +44,7 @@ def test_second_engine_starts_with_a_warm_store():
     traffic = UniformTraffic(topo)
     a = make_simulator(table, traffic, 0.02, CFG)
     a.run()
-    filled = len(table.candidate_cache(1, CFG.adaptive))
+    filled = len(table.candidate_cache(CFG.adaptive))
     assert filled > 0  # the run populated (head, phase, dst) entries
     b = make_simulator(table, traffic, 0.02, CFG)
     # Same object, so the second engine sees every entry the first built.
@@ -72,4 +72,4 @@ def test_caches_are_dropped_from_pickled_tables():
     clone = pickle.loads(pickle.dumps(table))
     # Pool jobs arrive lean and rebuild lazily on first use.
     assert "_engine_caches" not in clone.__dict__
-    assert clone.candidate_cache(1, CFG.adaptive) == {}
+    assert clone.candidate_cache(CFG.adaptive) == {}

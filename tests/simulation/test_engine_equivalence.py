@@ -17,8 +17,8 @@ down what IS promised:
   the cheapest faithful proxy);
 - rank preservation: the paper's qualitative result (the OP mapping
   beats random mappings) survives the engine swap;
-- multi-VC fallback: unsupported configurations degrade to the
-  bit-identical kernel rather than to silently-different physics;
+- multi-VC fallback: unsupported configurations run on the reference
+  engine rather than on silently-different physics;
 - batch compatibility: mixed routing tables or mixed virtual-channel
   counts fail loudly instead of silently desynchronizing.
 """
@@ -29,6 +29,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
 from repro.simulation import BIT_IDENTICAL_ENGINES, ENGINE_NAMES
@@ -210,6 +211,22 @@ def test_multi_vc_falls_back_to_bit_identical_kernel(net8):
     fast = make_simulator(table, traffic, 0.012,
                           replace(cfg, engine="fast")).run()
     assert canonical_payload(vec) == canonical_payload(fast)
+    ref = make_simulator(table, traffic, 0.012,
+                         replace(cfg, engine="reference")).run()
+    batch = simulate_batch_vector(
+        [(table, traffic, 0.012, replace(cfg, engine="vector"))])
+    assert [canonical_payload(r) for r in batch] == [canonical_payload(ref)]
+
+
+def test_multi_vc_batch_records_each_run_once(net8):
+    topo, table = net8
+    cfg = replace(EQ_CONFIG, seed=3, virtual_channels=2, engine="vector")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        simulate_batch_vector([(table, UniformTraffic(topo), 0.012, cfg)])
+    runs = {k: v for k, v in registry.snapshot()["counters"].items()
+            if k.endswith(".runs")}
+    assert runs == {"engine.reference.runs": 1.0}
 
 
 def test_vector_class_rejects_multi_vc(net8):

@@ -18,6 +18,11 @@ Three layers of evidence, each run two-way:
   exercising the O(1) tail release), stepwise execution with invariant
   checks, and trace recording.
 
+``make_simulator`` runs every ``virtual_channels > 1`` config on the
+reference engine, so the two-VC cases compare the oracle with itself;
+they stay as a guard on that routing.  :class:`TestEngineSelection` pins
+the routing down directly.
+
 The ``vector`` engine is outside this contract; its statistical
 equivalence lives in ``test_engine_equivalence.py``.
 """
@@ -34,6 +39,8 @@ from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import canonical_payload, make_simulator
+from repro.simulation.engine_fast import FastWormholeNetworkSimulator
+from repro.simulation.network import WormholeNetworkSimulator
 from repro.simulation.traffic import IntraClusterTraffic, UniformTraffic
 from repro.topology.designed import ring_topology
 from repro.topology.irregular import random_irregular_topology
@@ -337,3 +344,28 @@ class TestObservability:
         res = sim.run()
         assert res.meta["cycles_skipped"] > 0
         assert res.meta["cycles_executed"] < 5000
+
+
+class TestEngineSelection:
+    """``make_simulator`` is the one place mapping (engine, VCs) to a class."""
+
+    @pytest.mark.parametrize("engine", ["fast", "vector"])
+    def test_multi_vc_builds_the_reference_engine(self, engine):
+        topo, table = _small_table(11)
+        cfg = SimulationConfig(virtual_channels=2, engine=engine)
+        sim = make_simulator(table, UniformTraffic(topo), 0.01, cfg)
+        assert type(sim) is WormholeNetworkSimulator
+
+    def test_multi_vc_run_reports_the_reference_engine(self):
+        topo, table = _small_table(11)
+        cfg = SimulationConfig(virtual_channels=2, engine="fast",
+                               warmup_cycles=50, measure_cycles=200)
+        res = make_simulator(table, UniformTraffic(topo), 0.01, cfg).run()
+        assert res.meta["engine"] == "reference"
+
+    def test_fast_kernel_rejects_multi_vc(self):
+        topo, table = _small_table(11)
+        with pytest.raises(ValueError, match="virtual_channels"):
+            FastWormholeNetworkSimulator(
+                table, UniformTraffic(topo), 0.01,
+                SimulationConfig(virtual_channels=2))
