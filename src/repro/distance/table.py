@@ -2,11 +2,11 @@
 
 :func:`build_distance_table` implements the model in Section 3 of the
 paper: per switch pair, take the shortest-legal-path link support from the
-routing algorithm and measure the equivalent resistance across it.  It
-works one source at a time: one call for the source's supports to every
-destination, then one batched resistance solve.  :class:`DistanceTable`
-wraps the resulting ``N×N`` matrix with the derived quantities the quality
-functions need.
+routing algorithm and measure the equivalent resistance across it.  The
+routing gives the supports one source at a time, and one streaming solve
+stacks the resulting networks by size across all sources.
+:class:`DistanceTable` wraps the resulting ``N×N`` matrix with the derived
+quantities the quality functions need.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distance.resistance import support_resistances
+from repro.distance.resistance import table_resistances
 from repro.obs import trace as _trace
 from repro.routing.base import RoutingAlgorithm
 from repro.util.validation import check_square_matrix
@@ -98,13 +98,10 @@ def build_distance_table(routing: RoutingAlgorithm) -> DistanceTable:
     topo = routing.topology
     n = topo.num_switches
     ends = np.array(topo.links, dtype=np.int64).reshape(-1, 2)
-    t = np.zeros((n, n), dtype=float)
     with _trace.span("distance.table", switches=n, pairs=n * (n - 1) // 2):
-        for i in range(n - 1):
-            dsts = np.arange(i + 1, n)
-            supports = routing.shortest_path_supports(i)[i + 1:]
-            t[i, i + 1:] = support_resistances(n, ends, i, dsts, supports)
-            t[i + 1:, i] = t[i, i + 1:]
+        t = table_resistances(n, ends, (
+            (i, np.arange(i + 1, n), routing.shortest_path_supports(i)[i + 1:])
+            for i in range(n - 1)))
     return DistanceTable(t, kind="equivalent", name=f"T-{routing.name}-{topo.name}")
 
 

@@ -36,6 +36,7 @@ class PartitionState:
         self.raw = evaluator.intracluster_sum(partition)
         self.scale = pairs * evaluator.norm
         self._assigned = np.nonzero(self.labels >= 0)[0]
+        self._pair_consts: "Tuple[np.ndarray, np.ndarray] | None" = None
 
     # -- value ------------------------------------------------------------ #
 
@@ -110,6 +111,13 @@ class PartitionState:
         :meth:`candidate_swaps` order.
         """
         asg = self._assigned
+        if self._pair_consts is None:
+            # Fixed with the assigned set, so built once per state and
+            # shared with its copies.
+            sq2 = self.evaluator.sq[np.ix_(asg, asg)]
+            sq2 *= 2.0
+            self._pair_consts = (sq2, np.tri(asg.size, dtype=bool))
+        sq2, lower = self._pair_consts
         lab = self.labels[asg]
         gx = self.g[asg][:, lab]  # gx[i, j] = G[asg[i], cluster of asg[j]]
         gs = gx.diagonal().copy()
@@ -119,12 +127,10 @@ class PartitionState:
         del gx
         deltas -= gs[:, None]
         deltas -= gs[None, :]
-        sq = self.evaluator.sq[np.ix_(asg, asg)]
-        sq *= 2.0
-        deltas -= sq
+        deltas -= sq2
         deltas /= self.scale
         same = lab[:, None] == lab[None, :]
-        deltas[same | np.tri(asg.size, dtype=bool)] = np.inf
+        deltas[same | lower] = np.inf
         free_delta = float(deltas.min())  # two or more switches are assigned
         if forbidden:
             pos = np.full(self.labels.size, -1, dtype=np.int64)
@@ -151,6 +157,7 @@ class PartitionState:
         clone.raw = self.raw
         clone.scale = self.scale
         clone._assigned = self._assigned
+        clone._pair_consts = self._pair_consts
         return clone
 
     def recompute(self) -> None:

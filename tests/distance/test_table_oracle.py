@@ -1,12 +1,12 @@
 """Per-source supports and batched solves against the per-pair oracle.
 
 ``shortest_path_supports`` computes one source's shortest-path link sets
-in a single array expression, and ``build_distance_table`` solves one
-source's resistor networks in stacked pseudoinverses.  The oracles below
-are the per-pair computations they replaced: a state-edge scan per pair
-over a state graph and BFS of their own, built only from the public
-``is_up`` and ``topology.links``, and one dense Laplacian and ``pinv`` per
-pair.  Results must be equal bit for bit.
+in a single array expression, and ``build_distance_table`` solves the
+resistor networks of all sources in stacked pseudoinverses of equal-size
+networks.  The oracles below are the per-pair computations they replaced:
+a state-edge scan per pair over a state graph and BFS of their own, built
+only from the public ``is_up`` and ``topology.links``, and one dense
+Laplacian and ``pinv`` per pair.  Results must be equal bit for bit.
 """
 
 from collections import deque
@@ -16,7 +16,8 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from repro.distance.resistance import equivalent_resistance
+from repro.distance import resistance
+from repro.distance.resistance import equivalent_resistance, table_resistances
 from repro.distance.table import build_distance_table
 from repro.routing.base import Phase
 from repro.routing.minimal import MinimalRouting
@@ -143,3 +144,25 @@ def test_equivalent_resistance_matches_oracle():
         links = sorted(path | extra)
         for a, b in ((0, 11), (3, 4), (7, 2)):
             assert equivalent_resistance(links, a, b) == oracle_resistance(links, a, b)
+
+
+@pytest.mark.parametrize("stack_entries", [1, 1 << 30],
+                         ids=["one-network", "whole-table"])
+def test_table_does_not_depend_on_the_stack_cap(monkeypatch, stack_entries):
+    """Every network solved alone, or each size in one stack for the whole
+    table: the same bits as the default cap."""
+    cases = [routing for routing, _ in routings(48, 6, 3)]
+    cases.append(UpDownRouting(random_irregular_topology(64, degree=4, seed=7)))
+    default = [build_distance_table(routing).values for routing in cases]
+    monkeypatch.setattr(resistance, "_STACK_ENTRIES", stack_entries)
+    for routing, want in zip(cases, default):
+        assert np.array_equal(build_distance_table(routing).values, want)
+
+
+def test_support_missing_an_endpoint_raises():
+    ends = np.array([(0, 1), (1, 2), (2, 3)])
+    supports = np.array([[True, False, False],    # 0 -> 1: connected
+                         [True, False, False]])   # 0 -> 2: 2 is not on it
+    sources = [(0, np.array([1, 2]), supports)]
+    with pytest.raises(ValueError, match="nodes 0 and 2 are not connected"):
+        table_resistances(4, ends, sources)

@@ -170,6 +170,17 @@ class TestBestSwapsOracle:
         assert state.best_swaps() == (None, 0.0, float("inf"))
         assert oracle_best_swaps(state) == (None, 0.0, float("inf"))
 
+    def test_matches_along_a_walk_of_swaps_and_copies(self, objective):
+        """The pass constants are built once per state and shared with its
+        copies; they must stay right as the labels move on."""
+        state = objective.random_state(seed=11)
+        for step in range(8):
+            got = state.best_swaps()
+            assert got == oracle_best_swaps(state)
+            if step % 2:
+                state = state.copy()
+            state.apply_swap(*got[0])
+
     def test_all_tabu(self, objective):
         state = objective.random_state(seed=10)
         forbidden = set(state.candidate_swaps())
