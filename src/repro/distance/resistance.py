@@ -66,11 +66,18 @@ def _laplacians(count: int, size: int, owner: np.ndarray, iu: np.ndarray,
     return flat.reshape(count, size, size)
 
 
-def _solve(laps: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Resistance between local nodes ``ia[m]`` and ``ib[m]`` of ``laps[m]``."""
+def _solve(laps: np.ndarray, ia: np.ndarray,
+           ib: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Resistance between local nodes ``ia[m]`` and ``ib[m]`` of ``laps[m]``,
+    and whether each network is connected.
+
+    ``trace(L·L⁺)`` is the rank of ``L``, its size less its number of
+    components; ``pinv`` of a disconnected network returns finite values.
+    """
     pinv = np.linalg.pinv(laps, hermitian=True)
     m = np.arange(len(laps))
-    return pinv[m, ia, ia] + pinv[m, ib, ib] - 2.0 * pinv[m, ia, ib]
+    connected = np.einsum("mij,mji->m", laps, pinv) > laps.shape[1] - 1.5
+    return pinv[m, ia, ia] + pinv[m, ib, ib] - 2.0 * pinv[m, ia, ib], connected
 
 
 def equivalent_resistance(links: Iterable[Link], a: int, b: int) -> float:
@@ -94,7 +101,8 @@ def equivalent_resistance(links: Iterable[Link], a: int, b: int) -> float:
     iu, iv = np.searchsorted(nodes, ends).T
     lap = _laplacians(1, nodes.size, np.zeros(iu.size, dtype=np.int64), iu, iv)
     ia, ib = np.searchsorted(nodes, [a, b])
-    return float(_solve(lap, np.array([ia]), np.array([ib]))[0])
+    r, _ = _solve(lap, np.array([ia]), np.array([ib]))
+    return float(r[0])
 
 
 def _solve_stacks(size: int, links: np.ndarray, nets: np.ndarray, final: bool,
@@ -102,8 +110,9 @@ def _solve_stacks(size: int, links: np.ndarray, nets: np.ndarray, final: bool,
     """Solve pending ``size``-node networks in stacks that fill the cap.
 
     A stack holds ``_STACK_ENTRIES // size²`` networks, and at least one.
-    Writes each resistance to ``out[src, dst]`` and ``out[dst, src]``.
-    Only full stacks are solved unless ``final``; returns what is left.
+    Writes each resistance to ``out[src, dst]`` and ``out[dst, src]``, and
+    raises ``ValueError`` for a network that is not connected.  Only full
+    stacks are solved unless ``final``; returns what is left.
     """
     iu, iv, owner = links
     ia, ib, src, dst = nets
@@ -114,7 +123,11 @@ def _solve_stacks(size: int, links: np.ndarray, nets: np.ndarray, final: bool,
         lstop = int(np.searchsorted(owner, stop))
         laps = _laplacians(stop - start, size, owner[lstart:lstop] - start,
                            iu[lstart:lstop], iv[lstart:lstop])
-        r = _solve(laps, ia[start:stop], ib[start:stop])
+        r, connected = _solve(laps, ia[start:stop], ib[start:stop])
+        if not connected.all():
+            bad = start + int(np.argmin(connected))
+            raise ValueError(f"nodes {src[bad]} and {dst[bad]} are not "
+                             "connected by the given links")
         out[src[start:stop], dst[start:stop]] = r
         out[dst[start:stop], src[start:stop]] = r
         start, lstart = stop, lstop
@@ -131,7 +144,8 @@ def table_resistances(num_nodes: int, ends: np.ndarray,
     Each item ``(src, dsts, supports)`` of ``sources`` holds a boolean
     ``(M, L)`` link selection per destination ``dsts[m]`` over the
     ``(L, 2)`` endpoint array ``ends``.  Each selection must be connected,
-    as a shortest-path support is.  Returns the ``(num_nodes, num_nodes)``
+    as a shortest-path support is; ``ValueError`` names a pair whose
+    selection is not.  Returns the ``(num_nodes, num_nodes)``
     matrix with the resistance ``src ↔ dsts[m]`` across ``supports[m]`` at
     both ``[src, dsts[m]]`` and ``[dsts[m], src]``, zero elsewhere.  Each
     entry equals, bit for bit, :func:`equivalent_resistance` on its

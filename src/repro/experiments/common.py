@@ -8,12 +8,12 @@ coefficient) and sweep execution over the S1…S9 load ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.mapping import Partition, ProcessMapping, Workload
 from repro.core.scheduler import CommunicationAwareScheduler
 from repro.distance.cache import cached_routing_table
-from repro.parallel import WorkersLike, parallel_map
+from repro.parallel import WorkersLike
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.sweep import (
@@ -83,27 +83,18 @@ class ExperimentSetup:
         return run_load_sweep(self.routing_table, traffic, rates, cfg,
                               workers=workers)
 
-    def saturation_throughput(self, record: MappingRecord,
-                              config: SimulationConfig) -> float:
-        """Deep-saturation accepted traffic (the paper's 'throughput')."""
-        return _mapping_saturation(
-            (self.routing_table, record.mapping, record.name, config)
-        )
+    def saturation_throughputs(
+            self, sweeps: Mapping[str, Sequence[LoadPoint]]) -> Dict[str, float]:
+        """Each mapping's throughput: the most traffic its S1…S9 sweep accepted.
 
-    def saturation_throughputs(self, records: Sequence[MappingRecord],
-                               config: SimulationConfig, *,
-                               workers: WorkersLike = None) -> Dict[str, float]:
-        """Saturation probes for several mappings, optionally in parallel.
-
-        Each mapping's probe derives its seeds from the mapping *name*, so
-        the probes are independent jobs and the result is identical whether
-        they run serially or on a process pool.
+        That is the paper's "maximum amount of information delivered", read
+        off the curve it plots.  :meth:`load_ladder` puts S9 past every
+        mapping's knee, so the sweep reaches it and no simulation is run here.
         """
-        jobs: List[_SaturationJob] = [
-            (self.routing_table, r.mapping, r.name, config) for r in records
-        ]
-        values = parallel_map(_mapping_saturation, jobs, workers=workers)
-        return {r.name: v for r, v in zip(records, values)}
+        return {
+            name: max(p.result.accepted_flits_per_switch_cycle for p in points)
+            for name, points in sweeps.items()
+        }
 
     def load_ladder(self, config: SimulationConfig, n: int = 9, *,
                     op: Optional[MappingRecord] = None) -> List[float]:
@@ -119,17 +110,6 @@ class ExperimentSetup:
         traffic = IntraClusterTraffic(op.mapping)
         sat = find_saturation_rate(self.routing_table, traffic, config)
         return make_load_points(1.3 * sat["rate"], n=n)
-
-
-_SaturationJob = Tuple[RoutingTable, ProcessMapping, str, SimulationConfig]
-
-
-def _mapping_saturation(job: _SaturationJob) -> float:
-    """One mapping's deep-saturation probe (top-level for pickling)."""
-    table, mapping, name, config = job
-    traffic = IntraClusterTraffic(mapping)
-    cfg = replace(config, seed=derive_seed(config.seed, "sat", name))
-    return find_saturation_rate(table, traffic, cfg)["throughput"]
 
 
 def paper_16switch_setup(seed: int = 42,

@@ -3,7 +3,9 @@
 Latency-vs-accepted-traffic curves for the mapping produced by the
 scheduling technique (label "OP") against randomly generated mappings
 (labels "R_i"), each annotated with its clustering coefficient, over the
-load points S1…S9.  Shape claims: the OP mapping saturates at markedly
+load points S1…S9.  A mapping's saturation throughput is the highest
+accepted traffic on its own curve, the paper's "maximum amount of
+information delivered".  Shape claims: the OP mapping saturates at markedly
 higher accepted traffic (the paper reports ≈85 % higher than any random
 mapping), and ``C_c`` is visibly larger for OP.
 """
@@ -76,10 +78,11 @@ def run_sim_figure(
 ) -> SimFigureResult:
     """Shared driver for the Figure 3 / Figure 5 experiments.
 
-    ``workers`` fans the per-mapping load sweeps and saturation probes out
-    onto a process pool; every simulation's seed is derived from the
-    mapping name and sweep-point index alone, so the result is identical
-    to a serial run.
+    Each mapping's throughput is the most traffic its own S1…S9 sweep
+    accepted (:meth:`ExperimentSetup.saturation_throughputs`).  ``workers``
+    fans each load sweep out onto a process pool; every simulation's seed is
+    derived from the mapping name and sweep-point index alone, so the result
+    is identical to a serial run.
     """
     config = config or default_sim_config()
     with _trace.span(f"figure.{figure}", topology=setup.topology.name,
@@ -94,19 +97,8 @@ def run_sim_figure(
             with _trace.span("figure.sweep", mapping=m.name, c_c=m.c_c):
                 sweeps[m.name] = setup.sweep(m, rates, config,
                                              workers=workers)
-        # Throughput = best accepted traffic observed anywhere: the
-        # dedicated deep-saturation probe can land past the knee where
-        # accepted dips slightly (tree saturation), so fold in the ladder
-        # maximum.
-        probes = setup.saturation_throughputs(mappings, config,
-                                              workers=workers)
-        throughput = {}
+        throughput = setup.saturation_throughputs(sweeps)
         for m in mappings:
-            ladder_max = max(
-                p.result.accepted_flits_per_switch_cycle
-                for p in sweeps[m.name]
-            )
-            throughput[m.name] = max(probes[m.name], ladder_max)
             _trace.event("figure.mapping", figure=figure, mapping=m.name,
                          c_c=m.c_c, throughput=throughput[m.name])
     return SimFigureResult(

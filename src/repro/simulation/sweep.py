@@ -3,9 +3,10 @@
 The paper simulates each mapping "from low traffic (simulation point S1)
 to saturation (simulation point S9)".  :func:`make_load_points` builds such
 a ladder of injection rates; :func:`run_load_sweep` executes it for one
-mapping; :func:`find_saturation_rate` estimates the saturation throughput
-by bisection on the offered load (used both to place S9 and to report the
-paper's "network throughput" figures).
+mapping; :func:`find_saturation_rate` estimates the saturation rate by
+bisection on the offered load.  It places S9 for Figures 3 and 5, which
+read each mapping's throughput off its own ladder, and its deep-saturation
+``throughput`` serves the ablation and extension benchmarks.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ def find_saturation_rate(
 
     Returns ``{"rate": r*, "throughput": accepted_at_saturation}`` where
     ``r*`` is the highest tested rate the network still accepts within 5 %
-    of offered.  ``throughput`` is measured at ~1.5·r* (deep saturation),
-    i.e. the paper's "maximum amount of information delivered per time
-    unit".
+    of offered.  ``throughput`` is measured in one final run at ~1.5·r*
+    (deep saturation).  The figures use only ``rate``, to place S9; the
+    ablation and extension benchmarks compare ``throughput``.
     """
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")

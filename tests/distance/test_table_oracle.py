@@ -166,3 +166,14 @@ def test_support_missing_an_endpoint_raises():
     sources = [(0, np.array([1, 2]), supports)]
     with pytest.raises(ValueError, match="nodes 0 and 2 are not connected"):
         table_resistances(4, ends, sources)
+
+
+def test_disconnected_support_raises():
+    """Both endpoints lie in the support, but on separate components."""
+    links = [(0, 1), (2, 3)]
+    with pytest.raises(ValueError, match="nodes 0 and 3 are not connected"):
+        equivalent_resistance(links, 0, 3)
+    sources = [(0, np.array([1, 3]), np.array([[True, False],     # 0 -> 1
+                                               [True, True]]))]   # 0 -> 3
+    with pytest.raises(ValueError, match="nodes 0 and 3 are not connected"):
+        table_resistances(4, np.array(links), sources)

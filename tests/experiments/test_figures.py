@@ -9,10 +9,11 @@ import math
 
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import paper_16switch_setup, paper_24switch_setup
 from repro.experiments.fig1_tabu_trace import render_fig1, run_fig1
 from repro.experiments.fig2_partition16 import render_fig2, run_fig2
-from repro.experiments.fig3_sim16 import render_fig3, run_fig3
+from repro.experiments.fig3_sim16 import render_fig3, run_fig3, run_sim_figure
 from repro.experiments.fig4_partition24 import (
     expected_ring_clusters,
     render_fig4,
@@ -24,6 +25,7 @@ from repro.experiments.fig6_correlation import (
     render_fig6,
     run_fig6,
 )
+from repro.simulation import sweep
 from repro.simulation.config import SimulationConfig
 
 QUICK = SimulationConfig(warmup_cycles=150, measure_cycles=700, seed=5)
@@ -99,6 +101,42 @@ class TestFig3:
     def test_render(self, fig3_result):
         out = render_fig3(fig3_result)
         assert "Figure 3" in out and "OP" in out and "latency" in out
+
+
+def _ladder_max(points):
+    return max(p.result.accepted_flits_per_switch_cycle for p in points)
+
+
+class TestThroughputFromLadder:
+    """A mapping's throughput is read off its own S1…S9 sweep."""
+
+    def test_throughput_is_the_ladder_maximum(self, fig3_result):
+        for m in fig3_result.mappings:
+            assert (fig3_result.saturation_throughput[m.name]
+                    == _ladder_max(fig3_result.sweeps[m.name])), m.name
+
+    def test_only_the_ladder_bisects(self, monkeypatch, setup16):
+        calls = []
+        bisect = common.find_saturation_rate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(common, "find_saturation_rate", counted)
+        tiny = SimulationConfig(warmup_cycles=50, measure_cycles=200, seed=5)
+        run_sim_figure("tiny", setup16, num_random=2, config=tiny, num_points=3)
+        assert len(calls) == 1
+
+    def test_reduction_runs_no_simulation(self, monkeypatch, setup16,
+                                          fig3_result):
+        def refuse(*args, **kwargs):
+            raise AssertionError("saturation_throughputs ran a simulation")
+
+        monkeypatch.setattr(sweep, "make_simulator", refuse)
+        got = setup16.saturation_throughputs(fig3_result.sweeps)
+        assert got == {name: _ladder_max(points)
+                       for name, points in fig3_result.sweeps.items()}
 
 
 class TestFig4:
