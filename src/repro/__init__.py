@@ -59,7 +59,6 @@ from repro.obs import (
     trace_run,
 )
 from repro.parallel import (
-    JobTimeoutError,
     WorkerPool,
     detect_workers,
     parallel_map,
@@ -121,7 +120,6 @@ __all__ = [
     "detect_workers",
     "parallel_map",
     "resolve_workers",
-    "JobTimeoutError",
     "WorkerPool",
     "ScheduleRequest",
     "ScheduleResponse",

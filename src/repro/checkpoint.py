@@ -2,8 +2,8 @@
 
 A :class:`SweepCheckpoint` records, per completed job of a
 :func:`repro.parallel.parallel_map` run, the job index and its pickled
-result.  A run that dies — killed process, broken pool, exhausted
-retries — leaves every completed job on disk; re-running with the same
+result.  A run that dies — killed process, broken pool, a job that
+raised — leaves every completed job on disk; re-running with the same
 checkpoint executes only the missing jobs and merges in job order, so the
 resumed run's results are bit-identical to an uninterrupted one (the jobs
 themselves are deterministic by the library's parallel contract).

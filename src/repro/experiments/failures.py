@@ -29,7 +29,7 @@ treats it as an ablation of mapping robustness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import SweepCheckpoint
@@ -39,15 +39,9 @@ from repro.experiments.common import ExperimentSetup
 from repro.faults.degrade import degrade
 from repro.faults.model import FaultScenario, single_link_scenarios
 from repro.faults.reschedule import compare_repair_strategies, schedule_degraded
-from repro.obs import trace as _trace
 from repro.parallel import WorkersLike, parallel_map
-from repro.routing.tables import RoutingTable
-from repro.simulation.config import SimulationConfig
-from repro.simulation.sweep import run_load_sweep
-from repro.simulation.traffic import IntraClusterTraffic
 from repro.topology.graph import Topology
 from repro.util.reporting import Table
-from repro.util.rng import derive_seed
 
 
 @dataclass
@@ -245,65 +239,6 @@ def run_fault_study(
     return FaultStudyResult(rows=rows, baseline_c_c=baseline.c_c)
 
 
-def simulate_fault_impact(
-    setup: ExperimentSetup,
-    scenarios: Optional[Sequence[FaultScenario]] = None,
-    *,
-    rates: Sequence[float],
-    config: SimulationConfig = SimulationConfig(),
-    seed: int = 1,
-    workers: WorkersLike = None,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Simulated throughput of the baseline mapping under each fault.
-
-    ``run_fault_study`` scores degradation by the clustering coefficient;
-    this companion measures it directly: the healthy network and every
-    *full-machine* scenario (all switches alive, so the old mapping still
-    applies verbatim) are swept across ``rates`` with the baseline OP
-    mapping and the scenario's reconfigured up*/down* routing.  Scenarios
-    that lose switches or partition the network are skipped — there is no
-    single network left to sweep.
-
-    Returns ``{label: {"rates": [...], "accepted": [...],
-    "avg_latency": [...]}}`` with a ``"healthy"`` row first.  The payload
-    is a deterministic function of the seeds and is the same on both
-    bit-identical engines; with ``config.engine == "vector"`` each
-    scenario's ladder runs as one
-    :func:`repro.simulation.engine_vector.simulate_batch_vector` call.
-    """
-    if scenarios is None:
-        scenarios = single_link_scenarios(setup.topology)
-    scenarios = list(scenarios)
-    baseline = setup.scheduler.schedule(setup.workload, seed=seed)
-    traffic = IntraClusterTraffic(baseline.mapping)
-
-    def sweep_rows(label: str, table: RoutingTable) -> Dict[str, List[float]]:
-        cfg = replace(config,
-                      seed=derive_seed(config.seed, "fault-sim", label))
-        points = run_load_sweep(table, traffic, rates, cfg, workers=workers)
-        return {
-            "rates": [p.rate for p in points],
-            "accepted": [p.result.accepted_flits_per_switch_cycle
-                         for p in points],
-            "avg_latency": [p.result.avg_latency for p in points],
-        }
-
-    out: Dict[str, Dict[str, List[float]]] = {}
-    with _trace.span("faults.simulate", scenarios=len(scenarios),
-                     engine=config.engine) as sp:
-        out["healthy"] = sweep_rows("healthy", setup.routing_table)
-        swept = 0
-        for scenario in scenarios:
-            net = degrade(setup.topology, scenario)
-            if not net.full_machine:
-                continue
-            out[scenario.label] = sweep_rows(
-                scenario.label, RoutingTable(net.routing()))
-            swept += 1
-        sp.set(swept=swept, skipped=len(scenarios) - swept)
-    return out
-
-
 def render_fault_study(res: FaultStudyResult) -> str:
     """Text table of per-scenario degradation, repair and rescheduling."""
     t = Table(
@@ -358,7 +293,6 @@ __all__ = [
     "FaultRow",
     "FaultStudyResult",
     "run_fault_study",
-    "simulate_fault_impact",
     "render_fault_study",
     "study_checkpoint_key",
 ]

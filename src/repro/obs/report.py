@@ -11,7 +11,9 @@ Reads a trace produced by ``repro --trace PATH ...`` (or any
 - cache hit/miss rates and engine counters from the final metrics
   snapshot;
 - the search convergence table and an ASCII trajectory plot built from
-  the per-restart ``search.restart`` events.
+  the per-restart ``search.restart`` events;
+- how many ``parallel.map`` spans fell back from the process pool to the
+  serial path.
 
 Every section degrades gracefully: a trace with no search events simply
 has no convergence section, and so on.
@@ -252,6 +254,17 @@ def _search_section(data: TraceData, max_series: int = 6) -> List[str]:
     return out
 
 
+#: ``parallel.map`` span modes recording that the pool could not start or
+#: died and the unfinished jobs re-ran serially.
+_FALLBACK_MODES = ("serial-fallback", "pool-then-serial")
+
+
+def _pool_fallbacks(spans: List[TraceEvent]) -> int:
+    """How many ``parallel_map`` calls fell back to the serial path."""
+    return sum(1 for sp in spans if sp.name == "parallel.map"
+               and sp.attrs.get("mode") in _FALLBACK_MODES)
+
+
 def render_report(data: TraceData, *, slowest: int = 10) -> str:
     """Render a full text report of one parsed trace."""
     sections: List[str] = []
@@ -275,12 +288,11 @@ def render_report(data: TraceData, *, slowest: int = 10) -> str:
         if table is not None:
             sections.append(table.render())
     sections.extend(_search_section(data))
-    retries = data.events_named("parallel.job.retry")
-    fallbacks = data.events_named("parallel.fallback")
-    if retries or fallbacks:
+    fallbacks = _pool_fallbacks(data.spans)
+    if fallbacks:
         sections.append(
-            f"execution-layer recoveries: {len(retries)} job retries, "
-            f"{len(fallbacks)} pool fallbacks"
+            f"execution-layer recoveries: {fallbacks} pool fallback(s) "
+            "to serial"
         )
     if data.corrupt_lines:
         sections.append(
@@ -306,7 +318,7 @@ def _jsonsafe(value: Any) -> Any:
     return value
 
 
-REPORT_JSON_SCHEMA = "repro.report/1"
+REPORT_JSON_SCHEMA = "repro.report/2"
 
 
 def report_json(data: TraceData, *, slowest: int = 10) -> Dict[str, Any]:
@@ -331,10 +343,7 @@ def report_json(data: TraceData, *, slowest: int = 10) -> Dict[str, Any]:
         "caches": _cache_stats(data.counters),
         "engines": _engine_stats(data.counters),
         "search_restarts": restarts,
-        "recoveries": {
-            "job_retries": len(data.events_named("parallel.job.retry")),
-            "pool_fallbacks": len(data.events_named("parallel.fallback")),
-        },
+        "recoveries": {"pool_fallbacks": _pool_fallbacks(data.spans)},
         "metrics": data.metrics,
         "corrupt_lines": data.corrupt_lines,
     }

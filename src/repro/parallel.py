@@ -9,36 +9,25 @@ is therefore unobservable in the results: parallel runs are bit-identical
 to serial ones.  ``tests/search/test_parallel_determinism.py`` locks this
 down per search method.
 
-On top of the deterministic core, :func:`parallel_map` is an execution
-layer hardened for long sweeps:
+On top of the deterministic core, :func:`parallel_map` keeps long sweeps
+going:
 
-- **partial-result recovery** — when the pool dies mid-run
-  (``BrokenProcessPool``, sandboxes that forbid ``fork``), results that
-  already completed are kept and only the missing jobs re-run serially;
-- **per-job retries** — ``retries=N`` re-submits a failed job up to ``N``
-  times with capped exponential backoff before letting its exception
-  propagate (default ``0``: exceptions propagate unchanged, as before);
-- **per-job timeout** — ``timeout=T`` bounds the wall-clock wait for each
-  pooled job; a job that exhausts its retries raises
-  :class:`JobTimeoutError` (the serial path cannot preempt a running
-  function, so there the timeout is not enforced);
+- **partial-result recovery** — when the pool cannot start or dies
+  mid-run (``BrokenProcessPool``, sandboxes that forbid ``fork``), results
+  that already completed are kept and only the missing jobs re-run
+  serially;
 - **checkpoint/resume** — ``checkpoint=SweepCheckpoint(...)`` records each
   completed job durably and, on a later run, skips every job already on
   disk, so an interrupted sweep resumes bit-identically
   (:mod:`repro.checkpoint`).
 
-Pool lifetime is owned by :class:`WorkerPool`, a context-managed wrapper
-around :class:`~concurrent.futures.ProcessPoolExecutor`:
-
-- one-shot callers let :func:`parallel_map` create and dispose a pool per
-  call (the historical behaviour);
-- resident callers — the scheduling service in :mod:`repro.service` —
-  create one :class:`WorkerPool` and pass it to every ``parallel_map``
-  call (``pool=``) or submit to it directly, so workers (and their
-  process-local distance-table caches) persist across requests;
-- on abnormal exits (``KeyboardInterrupt``, ``SystemExit``, a hung job's
-  :class:`JobTimeoutError`) the pool's workers are actively terminated
-  and reaped instead of being orphaned mid-job.
+Each :func:`parallel_map` call owns its pool and disposes of it before
+returning; when a job raises or the caller is interrupted
+(``KeyboardInterrupt``), the workers are terminated and reaped instead of
+being orphaned mid-job.  :class:`WorkerPool` wraps the
+:class:`~concurrent.futures.ProcessPoolExecutor`; the resident scheduling
+service (:mod:`repro.service`) keeps one open across requests so its
+workers, and their process-local distance-table caches, stay warm.
 
 Worker-count resolution, in precedence order:
 
@@ -54,10 +43,8 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, TypeVar, Union
 
@@ -73,10 +60,12 @@ WorkersLike = Union[None, int, str]
 
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Backoff schedule for ``retries``: attempt ``k`` sleeps a *full-jitter*
+#: Backoff schedule for the service's retries (the client's reconnects in
+#: :mod:`repro.service.client`, the supervisor's batch re-dispatches in
+#: :mod:`repro.service.supervisor`): attempt ``k`` sleeps a *full-jitter*
 #: delay drawn uniformly from ``[0, min(BACKOFF_CAP, BACKOFF_BASE * 2**k)]``
 #: seconds before re-running.  The jitter decorrelates concurrent clients
-#: and jobs retrying against the same recovering pool or service, so a
+#: and batches retrying against the same recovering pool or service, so a
 #: synchronized failure does not turn into a synchronized retry stampede;
 #: the hard cap bounds the worst-case wait no matter how large ``attempt``
 #: grows.
@@ -88,14 +77,7 @@ BACKOFF_CAP = 2.0
 # deliberately unseeded; tests pass an explicit ``rng`` for determinism.
 _backoff_rng = random.Random()
 
-# Test seam: monkeypatched to observe/skip the backoff sleeps.
-_sleep = time.sleep
-
 _PENDING = object()
-
-
-class JobTimeoutError(TimeoutError):
-    """A pooled job exceeded its per-job ``timeout`` (after all retries)."""
 
 
 def detect_workers() -> int:
@@ -159,22 +141,21 @@ def backoff_delay(attempt: int, *, base: float = BACKOFF_BASE,
     return (rng or _backoff_rng).uniform(0.0, ceiling)
 
 
-def _reap(executor: Optional[ProcessPoolExecutor], *, kill: bool) -> None:
-    """Shut an executor down and wait for its worker processes to exit.
+def _reap(executor: Optional[ProcessPoolExecutor]) -> None:
+    """Shut an executor down, kill its live workers and wait for them.
 
-    With ``kill=True`` live workers receive ``SIGTERM`` first, so a hung
-    or interrupted job cannot keep the process tree alive; either way the
-    workers are joined (reaped) before returning.
+    Live workers receive ``SIGTERM``, so a hung or interrupted job cannot
+    keep the process tree alive; the workers are joined (reaped) before
+    returning.
     """
     if executor is None:
         return
     procs = list(getattr(executor, "_processes", {}).values())
     manager = getattr(executor, "_executor_manager_thread", None)
     executor.shutdown(wait=False, cancel_futures=True)
-    if kill:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
     for proc in procs:
         proc.join(timeout=5.0)
     # The executor's manager thread joins the same processes.  A worker it
@@ -193,10 +174,10 @@ class WorkerPool:
     ``KeyboardInterrupt`` — terminates the workers so they are reaped
     instead of leaking; a clean exit waits for in-flight jobs.
 
-    Both :func:`parallel_map` (via ``pool=``) and the resident scheduling
-    service (:mod:`repro.service`) run on this class; a reused pool keeps
-    each worker process — and its process-local distance/routing-table
-    caches — warm across calls.
+    :func:`parallel_map` runs each call on a pool of its own; the resident
+    scheduling service (:mod:`repro.service`) keeps one open across
+    requests, so each worker process — and its process-local
+    distance/routing-table caches — stays warm.
     """
 
     def __init__(self, workers: WorkersLike = None):
@@ -237,13 +218,6 @@ class WorkerPool:
         """Submit one job to the pool (creating it if needed)."""
         return self.executor().submit(fn, *args, **kwargs)
 
-    def map(self, fn: Callable[[T], R], jobs: Iterable[T], *,
-            retries: int = 0, timeout: Optional[float] = None,
-            checkpoint: Optional[SweepCheckpoint] = None) -> List[R]:
-        """:func:`parallel_map` on this pool (the pool stays open after)."""
-        return parallel_map(fn, jobs, pool=self, retries=retries,
-                            timeout=timeout, checkpoint=checkpoint)
-
     # -------------------------------------------------------------- #
 
     def restart(self) -> None:
@@ -255,7 +229,7 @@ class WorkerPool:
         """
         with self._lock:
             executor, self._executor = self._executor, None
-        _reap(executor, kill=True)
+        _reap(executor)
 
     def close(self) -> None:
         """Wait for in-flight jobs, then shut the workers down."""
@@ -270,7 +244,7 @@ class WorkerPool:
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
-        _reap(executor, kill=True)
+        _reap(executor)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -297,86 +271,35 @@ def _record(checkpoint: Optional[SweepCheckpoint], index: int,
 
 
 def _run_serial(fn: Callable[[T], R], job_list: List[T], results: List,
-                missing: List[int], retries: int,
+                missing: List[int],
                 checkpoint: Optional[SweepCheckpoint]) -> None:
-    """Run ``missing`` jobs in order in this process, with retries.
+    """Run ``missing`` jobs in order in this process.
 
     Each job's lifecycle is reported as structured telemetry events
-    (``parallel.job.started`` / ``.retry`` / ``.completed``); the retry
-    event carries the attempt number, the backoff delay and the error —
-    no-ops when no tracer is active.
+    (``parallel.job.started`` / ``.completed``) — no-ops when no tracer
+    is active.  A job's exception propagates unchanged.
     """
     for i in missing:
-        attempt = 0
         _trace.event("parallel.job.started", job=i, mode="serial")
-        while True:
-            try:
-                results[i] = fn(job_list[i])
-                break
-            except Exception as exc:
-                if attempt >= retries:
-                    raise
-                delay = backoff_delay(attempt)
-                _trace.event("parallel.job.retry", job=i, mode="serial",
-                             attempt=attempt + 1, retries=retries,
-                             delay_seconds=delay, error=repr(exc))
-                _sleep(delay)
-                attempt += 1
-        _trace.event("parallel.job.completed", job=i, mode="serial",
-                     attempts=attempt + 1)
+        results[i] = fn(job_list[i])
+        _trace.event("parallel.job.completed", job=i, mode="serial")
         _record(checkpoint, i, results[i])
 
 
 def _run_pool(pool: ProcessPoolExecutor, fn: Callable[[T], R],
               job_list: List[T], results: List, missing: List[int],
-              retries: int, timeout: Optional[float],
               checkpoint: Optional[SweepCheckpoint]) -> None:
-    """Run ``missing`` jobs on ``pool``, with per-job retries and timeout.
+    """Run ``missing`` jobs on ``pool``, collecting results in job order.
 
-    Raises ``BrokenProcessPool`` upward (the caller falls back serially),
-    :class:`JobTimeoutError` on an exhausted timeout, or the job's own
-    exception once its retries are spent.
+    Raises ``BrokenProcessPool`` upward (the caller falls back serially)
+    or the exception of the first job, in job order, that failed.
     """
     futures = {i: pool.submit(fn, job_list[i]) for i in missing}
     for i in missing:
         _trace.event("parallel.job.scheduled", job=i, mode="pool")
-    attempts = {i: 0 for i in missing}
     for i in missing:
-        while True:
-            try:
-                results[i] = futures[i].result(timeout=timeout)
-                break
-            except BrokenProcessPool:
-                raise
-            except _FuturesTimeout:
-                if attempts[i] >= retries:
-                    futures[i].cancel()
-                    _trace.event("parallel.job.timed_out", job=i, mode="pool",
-                                 timeout_seconds=timeout,
-                                 attempts=attempts[i] + 1)
-                    raise JobTimeoutError(
-                        f"job {i} exceeded the per-job timeout of {timeout}s"
-                        + (f" after {retries} retries" if retries else "")
-                    ) from None
-                attempts[i] += 1
-                _trace.event("parallel.job.retry", job=i, mode="pool",
-                             attempt=attempts[i], retries=retries,
-                             delay_seconds=0.0,
-                             error=f"timeout after {timeout}s")
-                futures[i].cancel()
-                futures[i] = pool.submit(fn, job_list[i])
-            except Exception as exc:
-                if attempts[i] >= retries:
-                    raise
-                delay = backoff_delay(attempts[i])
-                _trace.event("parallel.job.retry", job=i, mode="pool",
-                             attempt=attempts[i] + 1, retries=retries,
-                             delay_seconds=delay, error=repr(exc))
-                _sleep(delay)
-                attempts[i] += 1
-                futures[i] = pool.submit(fn, job_list[i])
-        _trace.event("parallel.job.completed", job=i, mode="pool",
-                     attempts=attempts[i] + 1)
+        results[i] = futures[i].result()
+        _trace.event("parallel.job.completed", job=i, mode="pool")
         _record(checkpoint, i, results[i])
 
 
@@ -385,48 +308,28 @@ def parallel_map(
     jobs: Iterable[T],
     *,
     workers: WorkersLike = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> List[R]:
     """Map ``fn`` over ``jobs``, preserving job order in the results.
 
     With a resolved worker count of 1 (the default) this is a plain serial
-    loop.  With more workers the jobs run in a process pool; ``fn`` and
-    every job must be picklable (top-level functions with value-like
-    arguments).  Results come back in submission order either way, so
-    callers can merge deterministically.
+    loop.  With more workers the jobs run in a process pool owned by this
+    call; ``fn`` and every job must be picklable (top-level functions with
+    value-like arguments).  Results come back in submission order either
+    way, so callers can merge deterministically, and an exception raised
+    by ``fn`` propagates unchanged in both modes.
 
-    Resilience knobs (all off by default):
-
-    - ``retries`` — re-run a failing job up to this many extra times with
-      capped exponential backoff; with ``0`` exceptions raised by ``fn``
-      propagate unchanged in both modes.
-    - ``timeout`` — per-job wall-clock bound, enforced in pool mode only
-      (a serial loop cannot preempt ``fn``); exhausting it raises
-      :class:`JobTimeoutError`.
-    - ``checkpoint`` — a :class:`~repro.checkpoint.SweepCheckpoint`;
-      completed jobs are recorded durably and skipped on re-runs, so an
-      interrupted map resumes where it left off with identical results.
-    - ``pool`` — a caller-owned :class:`WorkerPool` to run on.  The pool
-      is left open afterwards (the caller's context manager closes it),
-      its ``workers`` count takes precedence over ``workers``, and a job
-      failure does not tear it down — only a hang or breakage triggers a
-      :meth:`WorkerPool.restart`.
+    ``checkpoint`` — a :class:`~repro.checkpoint.SweepCheckpoint` — records
+    completed jobs durably and skips them on re-runs, so an interrupted
+    map resumes where it left off with identical results.
 
     If the pool itself cannot be created or dies (sandboxes that forbid
     ``fork``, resource exhaustion, a crashing worker), results that
     already completed are kept and only the unfinished jobs re-run on the
-    serial path — the results are identical by contract, only slower.
-    Abnormal exits (``KeyboardInterrupt``, a job that exhausted its
-    ``timeout``) actively terminate and reap the workers instead of
-    orphaning them mid-job.
+    serial path — the results are identical by contract, only slower.  A
+    failing job or an abnormal exit (``KeyboardInterrupt``) terminates and
+    reaps the workers instead of orphaning them mid-job.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
     job_list = list(jobs)
     n_jobs = len(job_list)
     results: List = [_PENDING] * n_jobs
@@ -441,64 +344,38 @@ def parallel_map(
                      completed=n_jobs - len(missing), total=n_jobs)
     if not missing:
         return results
-    owned = pool is None
-    n = resolve_workers(workers) if owned else pool.workers
+    n = resolve_workers(workers)
     with _trace.span("parallel.map", jobs=n_jobs, pending=len(missing),
                      workers=n) as sp:
         if n <= 1 or len(missing) <= 1:
             sp.set(mode="serial")
-            _run_serial(fn, job_list, results, missing, retries, checkpoint)
+            _run_serial(fn, job_list, results, missing, checkpoint)
             return results
-        wp = WorkerPool(min(n, len(missing))) if owned else pool
+        wp = WorkerPool(min(n, len(missing)))
         try:
             executor = wp.executor()
         except OSError as exc:
             sp.set(mode="serial-fallback")
             _warn_fallback(exc, len(missing), n_jobs)
-            _run_serial(fn, job_list, results, missing, retries, checkpoint)
+            _run_serial(fn, job_list, results, missing, checkpoint)
             return results
         sp.set(mode="pool")
         try:
-            _run_pool(executor, fn, job_list, results, missing, retries,
-                      timeout, checkpoint)
-        except JobTimeoutError:
-            # JobTimeoutError subclasses TimeoutError (an OSError): keep it
-            # out of the pool-died fallback below — re-running a hung job
-            # serially would hang the caller instead.  The hung worker is
-            # killed and reaped either way (a shared pool gets fresh
-            # workers on its next use).
-            if owned:
-                wp.terminate()
-            else:
-                wp.restart()
-            raise
+            _run_pool(executor, fn, job_list, results, missing, checkpoint)
         except (BrokenProcessPool, OSError) as exc:
-            if owned:
-                wp.terminate()
-            else:
-                wp.restart()
+            wp.terminate()
             still_missing = [i for i in range(n_jobs) if results[i] is _PENDING]
             sp.set(mode="pool-then-serial")
             _warn_fallback(exc, len(still_missing), n_jobs)
-            _run_serial(fn, job_list, results, still_missing, retries,
-                        checkpoint)
-        except Exception:
-            # A job failed for good: an owned pool dies with the call
-            # (workers killed and reaped — completed results are already
-            # checkpointed for a later resume); a shared pool stays up for
-            # its other users.
-            if owned:
-                wp.terminate()
-            raise
+            _run_serial(fn, job_list, results, still_missing, checkpoint)
         except BaseException:
-            # KeyboardInterrupt / SystemExit: the process is going down —
-            # kill and reap the workers regardless of who owns the pool so
-            # none leak past the interrupt.
+            # A job failed or the caller is being torn down: kill and reap
+            # the workers (completed results are already checkpointed for
+            # a later resume) so none outlive the call.
             wp.terminate()
             raise
         else:
-            if owned:
-                wp.close()
+            wp.close()
     return results
 
 
@@ -536,7 +413,6 @@ __all__ = [
     "BACKOFF_BASE",
     "BACKOFF_CAP",
     "backoff_delay",
-    "JobTimeoutError",
     "detect_workers",
     "resolve_workers",
     "parallel_map",

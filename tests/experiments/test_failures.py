@@ -14,9 +14,7 @@ from repro.experiments.failures import (
     FaultStudyResult,
     render_fault_study,
     run_fault_study,
-    simulate_fault_impact,
 )
-from repro.simulation.config import SimulationConfig
 from repro.faults.model import FaultScenario, sample_fault_scenarios
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
@@ -250,7 +248,7 @@ class TestFaultStudy:
 
 
 class TestSimulatedFaultImpact:
-    """The simulated throughput-under-faults companion to the C_c study."""
+    """The C_c study on a small seeded network, without any simulation."""
 
     @pytest.fixture(scope="class")
     def small_setup(self):
@@ -262,23 +260,6 @@ class TestSimulatedFaultImpact:
     def scenarios(self, small_setup):
         return [FaultScenario(links=(link,))
                 for link in small_setup.topology.links[:3]]
-
-    def _impact(self, setup, scenarios, engine):
-        cfg = SimulationConfig(warmup_cycles=100, measure_cycles=300,
-                               seed=3, engine=engine)
-        return simulate_fault_impact(setup, scenarios,
-                                     rates=[0.002, 0.01], config=cfg)
-
-    def test_healthy_row_present_and_faults_swept(self, small_setup,
-                                                  scenarios):
-        out = self._impact(small_setup, scenarios, "fast")
-        assert "healthy" in out
-        # The seeded 3-regular topology survives single-link faults with
-        # all switches alive, so every scenario is full-machine.
-        assert len(out) == 1 + len(scenarios)
-        for row in out.values():
-            assert len(row["accepted"]) == 2
-            assert all(a >= 0 for a in row["accepted"])
 
     def test_fault_study_itself_is_engine_free(self, small_setup, scenarios):
         """run_fault_study never simulates: its payload has no engine knob,

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from repro.obs.manifest import collect_manifest
 from repro.obs.metrics import inc
 from repro.obs.report import (
@@ -14,6 +16,7 @@ from repro.obs.report import (
 )
 from repro.obs.run import trace_run
 from repro.obs.trace import event, span
+from repro.parallel import WorkerPool, parallel_map
 
 
 def _write_trace(path):
@@ -31,7 +34,10 @@ def _write_trace(path):
             event("search.restart", index=i, method="tabu", best_value=0.5 - i * 0.1,
                   iterations=5, evaluations=100, accepted=3, uphill=2,
                   tabu_masked=1, trace=[1.0, 0.8, 0.5 - i * 0.1])
-        event("parallel.job.retry", job=0, attempt=1, delay_seconds=0.05)
+
+
+def _square(x):
+    return x * x
 
 
 class TestLoadTrace:
@@ -67,7 +73,7 @@ class TestRenderReport:
         assert "simulation engines" in text
         assert "search convergence" in text
         assert "best F_G so far" in text  # the trajectory plot
-        assert "1 job retries" in text
+        assert "execution-layer recoveries" not in text  # no fallback ran
 
     def test_self_time_subtracts_children(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -157,7 +163,7 @@ class TestReportJson:
         assert payload["caches"]["tables"]["hit_rate"] == 0.75
         assert payload["engines"]["fast"]["conflict_rate"] == 0.4
         assert len(payload["search_restarts"]) == 2
-        assert payload["recoveries"]["job_retries"] == 1
+        assert payload["recoveries"] == {"pool_fallbacks": 0}
         assert payload["corrupt_lines"] == 0
 
     def test_strictly_valid_json(self, tmp_path):
@@ -174,6 +180,33 @@ class TestReportJson:
         _write_trace(path)
         payload = report_json(load_trace(path), slowest=1)
         assert len(payload["slowest_spans"]) == 1
+
+
+class TestPoolFallbacks:
+    """A pool that cannot start shows up as a recovery in both reports."""
+
+    def test_fallback_spans_are_counted(self, tmp_path, monkeypatch):
+        def no_pool(self):
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(WorkerPool, "executor", no_pool)
+        path = tmp_path / "t.jsonl"
+        with trace_run(path):
+            with pytest.warns(RuntimeWarning, match="process pool"):
+                assert parallel_map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+            # The other fallback mode counts; clean runs do not.
+            with span("parallel.map", mode="pool-then-serial"):
+                pass
+            with span("parallel.map", mode="pool"):
+                pass
+            with span("parallel.map", mode="serial"):
+                pass
+        data = load_trace(path)
+        modes = [sp.attrs.get("mode") for sp in data.spans
+                 if sp.name == "parallel.map"]
+        assert modes[0] == "serial-fallback"
+        assert report_json(data)["recoveries"] == {"pool_fallbacks": 2}
+        assert "2 pool fallback(s) to serial" in render_report(data)
 
 
 class TestReportCli:

@@ -14,7 +14,6 @@ import random
 
 from repro.parallel import (
     WORKERS_ENV,
-    JobTimeoutError,
     backoff_delay,
     detect_workers,
     parallel_map,
@@ -46,23 +45,16 @@ def _crash_worker_on(job):
     return _mark_and_square((x, marker))
 
 
-class _FlakyThenOk:
-    """Fails ``failures`` times, then succeeds (records each attempt)."""
-
-    def __init__(self, failures):
-        self.failures = failures
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise RuntimeError(f"transient failure #{self.calls}")
-        return x * x
-
-
 def _slow_square(x):
     time.sleep(1.5)
     return x * x
+
+
+def _fail_or_sleep(x):
+    """Raise at once for a negative job; otherwise sleep, then square."""
+    if x < 0:
+        raise ValueError(f"bad job {x}")
+    return _slow_square(x)
 
 
 class TestResolveWorkers:
@@ -129,6 +121,15 @@ class TestParallelMap:
             _square, jobs, workers=3
         )
 
+    def test_failing_pooled_job_leaves_no_live_worker(self):
+        # Job 0 raises while job 1 is still sleeping in the other worker:
+        # the call must kill and reap both workers before re-raising.
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(ValueError, match="bad job"):
+            parallel_map(_fail_or_sleep, [-1, 1], workers=2)
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert after == before
+
 
 class TestPartialRecovery:
     def test_crashing_worker_keeps_completed_results(self, tmp_path):
@@ -193,53 +194,6 @@ class TestRetries:
         with pytest.raises(ValueError, match="base and cap"):
             backoff_delay(0, base=-0.1)
 
-    def test_serial_retries_until_success(self, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(parallel_mod, "_sleep", sleeps.append)
-        fn = _FlakyThenOk(failures=2)
-        assert parallel_map(fn, [3], workers=1, retries=2) == [9]
-        assert fn.calls == 3
-        base = parallel_mod.BACKOFF_BASE
-        assert len(sleeps) == 2
-        assert 0.0 <= sleeps[0] <= base
-        assert 0.0 <= sleeps[1] <= 2 * base
-
-    def test_serial_retries_exhausted_raises(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_sleep", lambda s: None)
-        fn = _FlakyThenOk(failures=5)
-        with pytest.raises(RuntimeError, match="transient failure"):
-            parallel_map(fn, [3], workers=1, retries=2)
-
-    def test_zero_retries_propagates_unchanged(self):
-        with pytest.raises(ValueError):
-            parallel_map(int, ["1", "nope"], workers=1)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            parallel_map(_square, [1], retries=-1)
-
-
-class TestTimeout:
-    def test_pool_timeout_raises_job_timeout(self):
-        jobs = list(range(3))
-        with pytest.raises(JobTimeoutError, match="timeout"):
-            parallel_map(_slow_square, jobs, workers=2, timeout=0.1)
-
-    def test_job_timeout_is_a_timeout_error(self):
-        # ...but must NOT be swallowed by the OSError pool-died fallback
-        # (TimeoutError subclasses OSError): the raise above proves that.
-        assert issubclass(JobTimeoutError, TimeoutError)
-
-    def test_fast_jobs_beat_the_timeout(self):
-        assert parallel_map(_square, [1, 2, 3], workers=2, timeout=30) == [
-            1, 4, 9
-        ]
-
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError, match="timeout"):
-            parallel_map(_square, [1], timeout=0)
-
-
 class TestLifecycleEvents:
     def test_serial_jobs_emit_started_and_completed(self):
         sink = MemorySink()
@@ -249,7 +203,6 @@ class TestLifecycleEvents:
         completed = sink.by_name("parallel.job.completed")
         assert [e["attrs"]["job"] for e in started] == [0, 1]
         assert [e["attrs"]["job"] for e in completed] == [0, 1]
-        assert all(e["attrs"]["attempts"] == 1 for e in completed)
         (span_rec,) = sink.by_name("parallel.map")
         assert span_rec["attrs"]["jobs"] == 2
         assert span_rec["attrs"]["mode"] == "serial"
@@ -262,32 +215,6 @@ class TestLifecycleEvents:
         assert len(sink.by_name("parallel.job.completed")) == 3
         (span_rec,) = sink.by_name("parallel.map")
         assert span_rec["attrs"]["mode"] == "pool"
-
-    def test_retry_events_carry_attempt_and_backoff(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_sleep", lambda s: None)
-        sink = MemorySink()
-        fn = _FlakyThenOk(failures=2)
-        with use_tracer(Tracer(sink)):
-            parallel_map(fn, [3], workers=1, retries=2)
-        retries = sink.by_name("parallel.job.retry")
-        assert [e["attrs"]["attempt"] for e in retries] == [1, 2]
-        base = parallel_mod.BACKOFF_BASE
-        delays = [e["attrs"]["delay_seconds"] for e in retries]
-        assert 0.0 <= delays[0] <= base
-        assert 0.0 <= delays[1] <= 2 * base
-        assert all("transient failure" in e["attrs"]["error"]
-                   for e in retries)
-        assert all(e["attrs"]["retries"] == 2 for e in retries)
-        (done,) = sink.by_name("parallel.job.completed")
-        assert done["attrs"]["attempts"] == 3
-
-    def test_timeout_emits_timed_out_event(self):
-        sink = MemorySink()
-        with use_tracer(Tracer(sink)):
-            with pytest.raises(JobTimeoutError):
-                parallel_map(_slow_square, [1, 2], workers=2, timeout=0.1)
-        timed_out = sink.by_name("parallel.job.timed_out")
-        assert timed_out and timed_out[0]["attrs"]["timeout_seconds"] == 0.1
 
     def test_checkpoint_resume_event(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -355,19 +282,13 @@ class TestWorkerPool:
         assert not pool.active and not pool.closed
         pool.close()
 
-    def test_map_reuses_one_executor_across_calls(self):
+    def test_submit_reuses_one_executor(self):
         with parallel_mod.WorkerPool(2) as pool:
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert pool.submit(_square, 2).result() == 4
             executor = pool._executor
-            assert pool.map(_square, [4, 5]) == [16, 25]
+            assert pool.submit(_square, 3).result() == 9
             assert pool._executor is executor      # same processes, warm
         assert pool.closed and not pool.active
-
-    def test_pool_results_match_serial(self):
-        serial = parallel_map(_square, list(range(10)), workers=1)
-        with parallel_mod.WorkerPool(3) as pool:
-            pooled = pool.map(_square, list(range(10)))
-        assert pooled == serial
 
     def test_submit_single_jobs(self):
         with parallel_mod.WorkerPool(2) as pool:
@@ -382,14 +303,15 @@ class TestWorkerPool:
 
     def test_restart_discards_workers_but_keeps_the_pool_usable(self):
         with parallel_mod.WorkerPool(2) as pool:
-            assert pool.map(_square, [1, 2]) == [1, 4]
+            assert pool.submit(_square, 2).result() == 4
             pool.restart()
             assert not pool.active and not pool.closed
-            assert pool.map(_square, [3]) == [9]
+            assert pool.submit(_square, 3).result() == 9
 
     def test_terminate_reaps_worker_processes(self):
         pool = parallel_mod.WorkerPool(2)
-        assert pool.map(_slow_square, [1, 2]) == [1, 4]
+        futures = [pool.submit(_slow_square, x) for x in (1, 2)]
+        assert [f.result() for f in futures] == [1, 4]
         procs = list(pool._executor._processes.values())
         assert procs
         pool.terminate()
@@ -405,7 +327,7 @@ class TestWorkerPool:
         procs = []
         with pytest.raises(KeyboardInterrupt):
             with pool:
-                assert pool.map(_square, [1, 2]) == [1, 4]
+                assert pool.submit(_square, 2).result() == 4
                 procs = list(pool._executor._processes.values())
                 raise KeyboardInterrupt()
         assert procs
@@ -417,32 +339,3 @@ class TestWorkerPool:
         with parallel_mod.WorkerPool(2) as pool:
             future = pool.submit(_slow_square, 7)
         assert future.result(timeout=0) == 49   # already done at exit
-
-
-class TestParallelMapOnSharedPool:
-    def test_shared_pool_stays_open_after_map(self):
-        with parallel_mod.WorkerPool(2) as pool:
-            parallel_map(_square, [1, 2], pool=pool)
-            assert not pool.closed
-            assert parallel_map(_square, [3], pool=pool) == [9]
-
-    def test_worker_crash_on_shared_pool_restarts_not_closes(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        with parallel_mod.WorkerPool(2) as pool:
-            jobs = [(x, marker, 2) for x in range(4)]
-            out = parallel_map(_crash_worker_on, jobs, pool=pool)
-            assert out == [0, 1, 4, 9]
-            # The pool survived the BrokenProcessPool and is still usable.
-            assert not pool.closed
-            assert pool.map(_square, [5]) == [25]
-
-    def test_timeout_on_shared_pool_keeps_it_usable(self):
-        # Two jobs so the map takes the pool path (timeouts are enforced
-        # in pool mode only); the hang restarts the shared pool's workers
-        # but leaves the pool itself open for its next user.
-        with parallel_mod.WorkerPool(2) as pool:
-            with pytest.raises(JobTimeoutError):
-                parallel_map(_slow_square, [100, 200], pool=pool,
-                             timeout=0.05)
-            assert not pool.closed
-            assert pool.map(_square, [6, 7]) == [36, 49]
