@@ -81,8 +81,6 @@ from repro.core import (
     ScheduleResult,
     DynamicScheduler,
     clustering_coefficient,
-    similarity_global,
-    dissimilarity_global,
 )
 from repro.search import (
     TabuSearch,
@@ -149,8 +147,6 @@ __all__ = [
     "ScheduleResult",
     "DynamicScheduler",
     "clustering_coefficient",
-    "similarity_global",
-    "dissimilarity_global",
     "TabuSearch",
     "SimulatedAnnealing",
     "GeneticAlgorithm",

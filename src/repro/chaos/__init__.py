@@ -3,8 +3,8 @@
 The adversary the service tier is hardened against.  Three modules:
 
 - :mod:`~repro.chaos.plan` — seeded fault plans: executor plans keyed on
-  batch sequence numbers, pure hash-derived wire plans, and the frame
-  mutator for the malformed-input flood;
+  batch sequence numbers, and the frame mutator for the malformed-input
+  flood;
 - :mod:`~repro.chaos.inject` — the injectors: a picklable
   :class:`ChaoticExecutor` that crashes/hangs/errors inside worker
   processes, :func:`kill_workers` for external node loss,
@@ -38,15 +38,11 @@ from repro.chaos.inject import (
 )
 from repro.chaos.plan import (
     EXECUTOR_FAULTS,
-    WIRE_ACTIONS,
     FaultAction,
     crash_at,
-    error_at,
     hang_at,
     mutate_frame,
-    random_plan,
     slow_at,
-    wire_action,
 )
 
 __all__ = [
@@ -59,16 +55,12 @@ __all__ = [
     "RequestOutcome",
     "SCENARIOS",
     "ScenarioResult",
-    "WIRE_ACTIONS",
     "corrupt_store_entry",
     "crash_at",
-    "error_at",
     "hang_at",
     "kill_workers",
     "mutate_frame",
-    "random_plan",
     "render_report",
     "run_scenarios",
     "slow_at",
-    "wire_action",
 ]

@@ -163,9 +163,8 @@ class ChaosProxy:
     - ``"garbage"``— replace the frame with a non-JSON line.
 
     Connection indices are assigned in accept order and frame indices
-    per connection, so with a pure ``reply_plan`` (see
-    :func:`repro.chaos.plan.wire_action`) the proxy's behaviour is a
-    deterministic function of the seed for a sequential client.
+    per connection, so with a pure ``reply_plan`` the proxy's behaviour is
+    deterministic for a sequential client.
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,

@@ -2,31 +2,22 @@
 
 A chaos run must be *reproducible*: the same seed injects the same faults
 at the same points, so a failure found in CI replays exactly on a
-laptop.  Two kinds of plan live here:
-
-- **executor plans** — ``{batch sequence number: FaultAction}`` maps
-  consumed by :class:`repro.chaos.inject.ChaoticExecutor` inside worker
-  processes.  Keying on the daemon's batch sequence number (not wall
-  time, not PID) is what makes injection deterministic: batch #2 crashes
-  no matter which worker runs it or when.
-- **wire plans** — a pure function from (connection index, frame index)
-  to an action for :class:`repro.chaos.inject.ChaosProxy`, derived by
-  hashing the seed with both indices, so every frame's fate is fixed the
-  moment the seed is chosen.
+laptop.  Executor plans are ``{batch sequence number: FaultAction}``
+maps consumed by :class:`repro.chaos.inject.ChaoticExecutor` inside
+worker processes.  Keying on the daemon's batch sequence number (not wall
+time, not PID) is what makes injection deterministic: batch #2 crashes no
+matter which worker runs it or when.  :func:`mutate_frame` damages wire
+frames for the malformed-input flood, again as a pure function of its seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 #: Executor-side fault kinds.
 EXECUTOR_FAULTS = ("crash", "hang", "error", "slow")
-
-#: Wire-side actions the proxy can take on one reply frame.
-WIRE_ACTIONS = ("forward", "tear", "drop", "garbage")
 
 
 @dataclass(frozen=True)
@@ -55,59 +46,9 @@ def hang_at(seq: int, *, delay: float = 30.0) -> Dict[int, FaultAction]:
     return {int(seq): FaultAction("hang", delay=delay)}
 
 
-def error_at(*seqs: int) -> Dict[int, FaultAction]:
-    """A plan that raises a runtime error from the given batches."""
-    return {int(s): FaultAction("error") for s in seqs}
-
-
 def slow_at(seq: int, *, delay: float = 0.2) -> Dict[int, FaultAction]:
     """A plan that delays (but completes) the given batch."""
     return {int(seq): FaultAction("slow", delay=delay)}
-
-
-def random_plan(seed: int, *, batches: int, rate: float = 0.3,
-                kinds: Iterable[str] = ("crash", "error"),
-                delay: float = 0.2) -> Dict[int, FaultAction]:
-    """A seeded random plan over ``batches`` batch numbers (1-based).
-
-    Each batch independently draws whether to fault (probability
-    ``rate``) and which kind; the draw order is fixed, so the plan is a
-    pure function of its arguments.
-    """
-    rng = random.Random(seed)
-    kinds = tuple(kinds)
-    plan: Dict[int, FaultAction] = {}
-    for seq in range(1, batches + 1):
-        if rng.random() < rate:
-            plan[seq] = FaultAction(rng.choice(kinds), delay=delay)
-    return plan
-
-
-def wire_action(seed: int, conn_index: int, frame_index: int, *,
-                tear: float = 0.0, drop: float = 0.0,
-                garbage: float = 0.0) -> str:
-    """The proxy's action for one reply frame — a pure hash of the seed.
-
-    The (seed, connection, frame) triple is hashed to a uniform draw in
-    ``[0, 1)`` which the cumulative ``tear``/``drop``/``garbage``
-    probabilities partition; everything else forwards untouched.  No RNG
-    state is carried between frames, so concurrent connections cannot
-    perturb each other's draws.
-    """
-    for p in (tear, drop, garbage):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probabilities must be in [0, 1], got {p}")
-    if tear + drop + garbage > 1.0:
-        raise ValueError("tear + drop + garbage must be <= 1")
-    blob = f"{seed}:{conn_index}:{frame_index}".encode()
-    u = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") / 2 ** 64
-    if u < tear:
-        return "tear"
-    if u < tear + drop:
-        return "drop"
-    if u < tear + drop + garbage:
-        return "garbage"
-    return "forward"
 
 
 def mutate_frame(raw: bytes, seed: int, index: int) -> bytes:
@@ -144,13 +85,9 @@ def mutate_frame(raw: bytes, seed: int, index: int) -> bytes:
 
 __all__ = [
     "EXECUTOR_FAULTS",
-    "WIRE_ACTIONS",
     "FaultAction",
     "crash_at",
     "hang_at",
-    "error_at",
     "slow_at",
-    "random_plan",
-    "wire_action",
     "mutate_frame",
 ]

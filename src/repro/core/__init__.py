@@ -19,10 +19,6 @@ from repro.core.mapping import (
 )
 from repro.core.quality import (
     QualityEvaluator,
-    cluster_similarity,
-    similarity_global,
-    cluster_dissimilarity,
-    dissimilarity_global,
     clustering_coefficient,
     weighted_mapping_cost,
 )
@@ -37,10 +33,6 @@ __all__ = [
     "random_partition",
     "partition_to_mapping",
     "QualityEvaluator",
-    "cluster_similarity",
-    "similarity_global",
-    "cluster_dissimilarity",
-    "dissimilarity_global",
     "clustering_coefficient",
     "weighted_mapping_cost",
     "CommunicationAwareScheduler",

@@ -9,8 +9,8 @@ levels and the collapse between them:
 
 - :class:`LogicalCluster` / :class:`Workload` — the applications;
 - :class:`Partition` — an assignment of switches to clusters;
-- :class:`ProcessMapping` — an explicit process→host table, convertible to
-  a partition when switch-purity holds and expandable from one otherwise.
+- :class:`ProcessMapping` — an explicit process→host table, expanded from
+  a partition by :func:`partition_to_mapping`.
 """
 
 from __future__ import annotations
@@ -161,10 +161,6 @@ class Partition:
         """Member count per cluster, in cluster-index order."""
         return [len(c) for c in self.clusters()]
 
-    def assigned_switches(self) -> np.ndarray:
-        """Ids of switches that belong to some cluster, ascending."""
-        return np.nonzero(self.labels >= 0)[0]
-
     def canonical_key(self) -> Tuple[Tuple[int, ...], ...]:
         """Label-order-independent identity (clusters as sorted tuple-of-tuples).
 
@@ -226,8 +222,8 @@ def random_partition(
 class ProcessMapping:
     """An explicit process→host assignment for a workload on a topology.
 
-    ``host_of[(cluster_index, process_index)] = host id``.  The inverse
-    view and the induced switch partition are derived on demand.
+    ``host_of[(cluster_index, process_index)] = host id``; the inverse
+    view is derived on demand.
     """
 
     workload: Workload
@@ -258,25 +254,6 @@ class ProcessMapping:
     def cluster_of_host(self) -> Dict[int, int]:
         """host → logical-cluster index for every occupied host."""
         return {h: ci for (ci, _pi), h in self.host_of.items()}
-
-    def induced_partition(self) -> Partition:
-        """Collapse to a switch partition; requires switch purity.
-
-        Raises ``ValueError`` when any switch hosts processes from two
-        applications (the partition — and hence ``C_c`` — is undefined
-        then, exactly as in the paper).
-        """
-        owner = np.full(self.topology.num_switches, -1, dtype=np.int64)
-        for (ci, _pi), h in self.host_of.items():
-            s = self.topology.host_switch(h)
-            if owner[s] == -1:
-                owner[s] = ci
-            elif owner[s] != ci:
-                raise ValueError(
-                    f"switch {s} hosts processes of clusters {owner[s]} and {ci}; "
-                    "induced partition undefined"
-                )
-        return Partition(owner)
 
 
 def partition_to_mapping(

@@ -23,7 +23,7 @@ additionally provides the O(1) swap delta used by the heuristic searches.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -53,36 +53,6 @@ def _membership(partition: Partition, n: int) -> np.ndarray:
         if c >= 0:
             z[s, c] = 1.0
     return z
-
-
-def cluster_similarity(table: TableLike, members: Sequence[int]) -> float:
-    """``F_{A_i}`` (eq. 1): quadratic sum of intracluster distances."""
-    sq = _as_squared(table)
-    idx = np.asarray(sorted(set(int(m) for m in members)), dtype=int)
-    if idx.size < 2:
-        return 0.0
-    sub = sq[np.ix_(idx, idx)]
-    return float(sub.sum() / 2.0)
-
-
-def cluster_dissimilarity(table: TableLike, partition: Partition, i: int) -> float:
-    """``D_{A_i}`` (eq. 4): quadratic sum of distances from ``A_i`` outward."""
-    sq = _as_squared(table)
-    n = sq.shape[0]
-    members = partition.clusters()[i]
-    inside = np.zeros(n, dtype=bool)
-    inside[list(members)] = True
-    return float(sq[np.ix_(inside, ~inside)].sum())
-
-
-def similarity_global(table: TableLike, partition: Partition) -> float:
-    """``F_G`` (eq. 2). Raises when the partition has no intracluster pairs."""
-    return QualityEvaluator(table).similarity(partition)
-
-
-def dissimilarity_global(table: TableLike, partition: Partition) -> float:
-    """``D_G`` (eq. 5). Raises when the partition has no intercluster pairs."""
-    return QualityEvaluator(table).dissimilarity(partition)
 
 
 def clustering_coefficient(table: TableLike, partition: Partition) -> float:
@@ -263,10 +233,6 @@ def weighted_mapping_cost(
 
 __all__ = [
     "QualityEvaluator",
-    "cluster_similarity",
-    "cluster_dissimilarity",
-    "similarity_global",
-    "dissimilarity_global",
     "clustering_coefficient",
     "weighted_mapping_cost",
 ]

@@ -23,12 +23,10 @@ from repro.distance.cache import (
     cached_distance_table,
     cached_routing_table,
     configure_cache,
-    default_cache,
     topology_fingerprint,
 )
 from repro.distance.metrics import (
     triangle_violations,
-    quadratic_mean,
     distance_hop_correlation,
 )
 
@@ -43,9 +41,7 @@ __all__ = [
     "cached_distance_table",
     "cached_routing_table",
     "configure_cache",
-    "default_cache",
     "topology_fingerprint",
     "triangle_violations",
-    "quadratic_mean",
     "distance_hop_correlation",
 ]

@@ -79,11 +79,6 @@ class CacheStats:
     size: int
     maxsize: int
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class TableCache:
     """A thread-safe LRU cache with hit/miss/eviction accounting.
@@ -162,11 +157,6 @@ class TableCache:
 _default_cache = TableCache()
 
 
-def default_cache() -> TableCache:
-    """The process-wide cache behind the ``cached_*`` helpers."""
-    return _default_cache
-
-
 def configure_cache(*, clear: bool = False) -> None:
     """Flush the module-level cache when ``clear`` is true."""
     if clear:
@@ -206,7 +196,6 @@ __all__ = [
     "TableCache",
     "topology_fingerprint",
     "routing_cache_key",
-    "default_cache",
     "configure_cache",
     "cached_distance_table",
     "cached_routing_table",

@@ -37,11 +37,6 @@ def triangle_violations(table: DistanceTable, atol: float = 1e-9) -> int:
     return count
 
 
-def quadratic_mean(table: DistanceTable) -> float:
-    """Root of the mean squared distance over unordered pairs."""
-    return float(np.sqrt(table.quadratic_mean_squared()))
-
-
 def distance_hop_correlation(table: DistanceTable, hops: DistanceTable) -> float:
     """Pearson correlation between two tables over unordered pairs.
 
@@ -57,4 +52,4 @@ def distance_hop_correlation(table: DistanceTable, hops: DistanceTable) -> float
     return pearson(table.values[iu], hops.values[iu])
 
 
-__all__ = ["triangle_violations", "quadratic_mean", "distance_hop_correlation"]
+__all__ = ["triangle_violations", "distance_hop_correlation"]

@@ -52,24 +52,6 @@ class DistanceTable:
         """Element-wise square ``T_ij²`` — the quantity the quality functions sum."""
         return self.values ** 2
 
-    def quadratic_mean_squared(self) -> float:
-        """Mean of ``T_ij²`` over unordered pairs ``i < j``.
-
-        This is the normalization denominator shared by the paper's
-        similarity and dissimilarity global functions (the "quadratic
-        average value of all of the distances between the network nodes").
-        """
-        n = self.num_nodes
-        if n < 2:
-            return 0.0
-        sq = self.squared()
-        iu = np.triu_indices(n, k=1)
-        return float(sq[iu].mean())
-
-    def is_symmetric(self, atol: float = 1e-9) -> bool:
-        """True when the table equals its transpose within ``atol``."""
-        return bool(np.allclose(self.values, self.values.T, atol=atol))
-
     def to_dict(self) -> dict:
         """Serializable representation (used by example scripts to cache tables)."""
         return {

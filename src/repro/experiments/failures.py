@@ -111,11 +111,6 @@ class FaultStudyResult:
         """Scenarios that forced per-component (degraded-mode) scheduling."""
         return [r for r in self.rows if not r.survivable]
 
-    @property
-    def partitioned(self) -> List[FaultRow]:
-        """Scenarios that split the surviving network into components."""
-        return [r for r in self.rows if r.num_components > 1]
-
     def all_survivable_repaired_ok(self) -> bool:
         """Warm-start repair (and reschedule) never lose to the degraded mapping."""
         return all(

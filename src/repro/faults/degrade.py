@@ -128,14 +128,6 @@ class DegradedNetwork:
         """Total surviving processor slots across all components."""
         return sum(c.host_capacity for c in self.components)
 
-    def largest_component(self) -> ComponentNetwork:
-        """The component with the most switches (ties by lowest member id)."""
-        if not self.components:
-            raise ValueError(
-                f"scenario {self.scenario.label} left no surviving switches"
-            )
-        return max(self.components, key=lambda c: (c.size, -c.switches[0]))
-
     def routing(self) -> UpDownRouting:
         """Reconfigured routing of the whole surviving network.
 

@@ -5,8 +5,8 @@ set of *permanent* faults — failed inter-switch links and failed switches
 (a failed switch takes its hosts and every incident link down with it).
 Scenarios are values: hashable, comparable, serializable (see
 :mod:`repro.serialize`) and independent of any particular topology until
-:meth:`FaultScenario.validate`/:meth:`FaultScenario.apply` binds them to
-one.
+:meth:`FaultScenario.validate` or :func:`repro.faults.degrade.degrade`
+binds them to one.
 
 Scenario generators cover the study axes:
 
@@ -81,7 +81,7 @@ class FaultScenario:
         """Check every fault names an element of ``topology``; raise otherwise.
 
         The error message names the first missing element, mirroring
-        :meth:`repro.topology.graph.Topology.without_link`.
+        :meth:`repro.topology.graph.Topology.without_links`.
         """
         for u, v in self.links:
             if not topology.has_link(u, v):
@@ -101,30 +101,6 @@ class FaultScenario:
                 f"fault scenario {self.label} fails all "
                 f"{topology.num_switches} switches of {topology.name}"
             )
-
-    def apply(self, topology: Topology) -> Topology:
-        """The same-id degraded topology: faulty links removed, faulty
-        switches isolated.
-
-        The switch count (and hence host numbering) is preserved — failed
-        switches simply lose every incident link.  Use
-        :func:`repro.faults.degrade.degrade` for the full surviving-network
-        view (components, routing, capacity).
-        """
-        self.validate(topology)
-        dead = set(self.links)
-        dead_sw = set(self.switches)
-        remaining = [
-            l for l in topology.links
-            if l not in dead and l[0] not in dead_sw and l[1] not in dead_sw
-        ]
-        return Topology(
-            topology.num_switches,
-            remaining,
-            hosts_per_switch=topology.hosts_per_switch,
-            switch_ports=topology.switch_ports,
-            name=f"{topology.name}-fault-{self.label}",
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (see :mod:`repro.serialize`)."""

@@ -150,13 +150,6 @@ class RepairComparison:
         """Quality left on the table by repairing instead of rescheduling."""
         return self.rescheduled.c_c - self.repaired.c_c
 
-    @property
-    def speedup(self) -> float:
-        """Wall-time ratio full-reschedule / repair (> 1 favours repair)."""
-        if self.repaired.seconds <= 0:
-            return float("inf")
-        return self.rescheduled.seconds / self.repaired.seconds
-
 
 def compare_repair_strategies(
     net: DegradedNetwork, workload: Workload, old_partition: Partition, *,
@@ -225,29 +218,6 @@ class DegradedSchedule:
     def unplaced(self) -> List[ClusterPlacement]:
         """Clusters the surviving capacity could not accommodate."""
         return [p for p in self.placements if not p.placed]
-
-    @property
-    def all_placed(self) -> bool:
-        """True when every cluster found a home."""
-        return not self.unplaced
-
-    def assignment(self) -> Dict[int, Tuple[int, ...]]:
-        """cluster index → original switch ids (placed clusters only)."""
-        return {p.cluster_index: p.switches for p in self.placed}
-
-    def to_partition(self, num_switches: int) -> Optional[Partition]:
-        """Global :class:`Partition` over the original switch ids.
-
-        Only defined when every cluster is placed (cluster labels must stay
-        consecutive); returns ``None`` otherwise.
-        """
-        if not self.all_placed:
-            return None
-        labels = np.full(num_switches, -1, dtype=np.int64)
-        for p in self.placements:
-            for s in p.switches:
-                labels[s] = p.cluster_index
-        return Partition(labels)
 
 
 def _component_c_c(evaluator: QualityEvaluator,

@@ -350,10 +350,5 @@ def report_json(data: TraceData, *, slowest: int = 10) -> Dict[str, Any]:
     return _jsonsafe(payload)
 
 
-def report_file(path: PathLike, *, slowest: int = 10) -> str:
-    """Load ``path`` and render its report (the ``repro report`` body)."""
-    return render_report(load_trace(path), slowest=slowest)
-
-
 __all__ = ["TraceData", "load_trace", "render_report", "report_json",
-           "REPORT_JSON_SCHEMA", "report_file"]
+           "REPORT_JSON_SCHEMA"]

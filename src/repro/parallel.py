@@ -292,9 +292,14 @@ def _run_pool(pool: ProcessPoolExecutor, fn: Callable[[T], R],
     """Run ``missing`` jobs on ``pool``, collecting results in job order.
 
     Raises ``BrokenProcessPool`` upward (the caller falls back serially)
-    or the exception of the first job, in job order, that failed.
+    or the exception of the first job, in job order, that failed.  An
+    ``OSError`` from ``submit`` (a worker could not be spawned) counts as
+    a broken pool; the same error raised by a job does not.
     """
-    futures = {i: pool.submit(fn, job_list[i]) for i in missing}
+    try:
+        futures = {i: pool.submit(fn, job_list[i]) for i in missing}
+    except OSError as exc:
+        raise BrokenProcessPool(f"cannot start a worker: {exc!r}") from exc
     for i in missing:
         _trace.event("parallel.job.scheduled", job=i, mode="pool")
     for i in missing:
@@ -362,7 +367,7 @@ def parallel_map(
         sp.set(mode="pool")
         try:
             _run_pool(executor, fn, job_list, results, missing, checkpoint)
-        except (BrokenProcessPool, OSError) as exc:
+        except BrokenProcessPool as exc:
             wp.terminate()
             still_missing = [i for i in range(n_jobs) if results[i] is _PENDING]
             sp.set(mode="pool-then-serial")

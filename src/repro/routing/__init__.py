@@ -21,7 +21,7 @@ This package provides:
 from repro.routing.base import Phase, RoutingAlgorithm
 from repro.routing.updown import UpDownRouting
 from repro.routing.minimal import MinimalRouting
-from repro.routing.tables import RoutingTable, build_routing_table
+from repro.routing.tables import RoutingTable
 from repro.routing.deadlock import channel_dependency_graph, is_deadlock_free
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "UpDownRouting",
     "MinimalRouting",
     "RoutingTable",
-    "build_routing_table",
     "channel_dependency_graph",
     "is_deadlock_free",
 ]

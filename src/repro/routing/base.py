@@ -9,9 +9,8 @@ All algorithms expose:
 
 - all-pairs *legal* shortest distances (``distances``),
 - per source, the links lying on any shortest legal path to each
-  destination (``shortest_path_supports``, one row per destination;
-  ``links_on_shortest_paths`` reads one row) — the input to the
-  equivalent-distance model of :mod:`repro.distance`,
+  destination (``shortest_path_supports``, one row per destination) — the
+  input to the equivalent-distance model of :mod:`repro.distance`,
 - per-hop next-hop enumeration (``next_hops``) — the input to the
   simulator's routing tables.
 """
@@ -20,11 +19,11 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.topology.graph import Link, Topology
+from repro.topology.graph import Topology
 
 
 class Phase(enum.IntEnum):
@@ -88,15 +87,6 @@ class RoutingAlgorithm(ABC):
         for the equivalent-distance model.
         """
 
-    def links_on_shortest_paths(self, src: int, dst: int) -> FrozenSet[Link]:
-        """Undirected links used by at least one shortest legal src→dst path.
-
-        Empty for ``src == dst``.  One row of :meth:`shortest_path_supports`.
-        """
-        row = self.shortest_path_supports(src)[dst]
-        links = self.topology.links
-        return frozenset(links[k] for k in np.flatnonzero(row))
-
     # -- per-hop decisions ---------------------------------------------- #
 
     @abstractmethod
@@ -110,25 +100,6 @@ class RoutingAlgorithm(ABC):
         """
 
     # -- helpers shared by subclasses ------------------------------------ #
-
-    def shortest_path(self, src: int, dst: int) -> Sequence[int]:
-        """One concrete shortest legal path (lowest-id tie-break), inclusive."""
-        path = [src]
-        current, phase = src, self.initial_phase()
-        guard = 0
-        while current != dst:
-            hops = self.next_hops(current, phase, dst)
-            if not hops:
-                raise RuntimeError(
-                    f"{self.name}: no legal continuation from ({current}, {phase.name}) "
-                    f"to {dst}"
-                )
-            current, phase = min(hops)
-            path.append(current)
-            guard += 1
-            if guard > 4 * self.topology.num_switches:
-                raise RuntimeError(f"{self.name}: path construction did not terminate")
-        return path
 
     def average_distance(self) -> float:
         """Mean legal distance over ordered pairs ``i != j``."""

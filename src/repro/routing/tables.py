@@ -47,10 +47,6 @@ class RoutingTable:
         """Legal shortest next hops from ``(current, phase)`` toward ``dst``."""
         return self._table[dst][phase][current]
 
-    def path_length(self, src: int, dst: int) -> int:
-        """Length in hops of the routes the table produces for ``src → dst``."""
-        return int(self.routing.distances()[src, dst])
-
     # ------------------------------------------------------------------ #
     # engine-shared caches
     # ------------------------------------------------------------------ #
@@ -94,9 +90,4 @@ class RoutingTable:
         return state
 
 
-def build_routing_table(routing: RoutingAlgorithm) -> RoutingTable:
-    """Convenience constructor mirroring the package's functional style."""
-    return RoutingTable(routing)
-
-
-__all__ = ["RoutingTable", "build_routing_table"]
+__all__ = ["RoutingTable"]

@@ -113,10 +113,6 @@ class UpDownRouting(RoutingAlgorithm):
             raise ValueError(f"({frm},{to}) is not a link of {self.topology.name}")
         return (self.level[to], to) < (self.level[frm], frm)
 
-    def up_end(self, u: int, v: int) -> int:
-        """The endpoint of link ``u-v`` closer to the root."""
-        return v if self.is_up(u, v) else u
-
     # ------------------------------------------------------------------ #
     # RoutingAlgorithm interface
     # ------------------------------------------------------------------ #

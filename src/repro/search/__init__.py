@@ -17,7 +17,7 @@ from repro.search.tabu import TabuSearch
 from repro.search.annealing import SimulatedAnnealing
 from repro.search.genetic import GeneticAlgorithm
 from repro.search.gsa import GeneticSimulatedAnnealing
-from repro.search.exhaustive import ExhaustiveSearch, enumerate_partitions, count_partitions
+from repro.search.exhaustive import ExhaustiveSearch, count_partitions
 from repro.search.random_search import RandomSearch
 from repro.search.process_local import (
     ProcessMappingOptimizer,
@@ -36,7 +36,6 @@ __all__ = [
     "GeneticAlgorithm",
     "GeneticSimulatedAnnealing",
     "ExhaustiveSearch",
-    "enumerate_partitions",
     "count_partitions",
     "RandomSearch",
     "ProcessMappingOptimizer",

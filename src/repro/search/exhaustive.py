@@ -11,7 +11,7 @@ non-decreasing as switches are assigned.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,52 +33,6 @@ def count_partitions(sizes: Sequence[int], num_switches: int) -> int:
     for _size, times in Counter(sizes).items():
         total //= factorial(times)
     return total
-
-
-def enumerate_partitions(sizes: Sequence[int],
-                         num_switches: int) -> Iterator[Partition]:
-    """Yield every fixed-size partition exactly once.
-
-    Symmetry breaking: the lowest unassigned switch id is always placed
-    into the lowest-indexed *open* cluster among those of each size class
-    that are still empty, which canonicalizes label order.
-    """
-    sizes = [int(s) for s in sizes]
-    labels = np.full(num_switches, -2, dtype=np.int64)  # -2 = undecided
-    remaining = list(sizes)
-    n_unassigned_slots = sum(sizes)
-
-    def rec(next_switch: int, slots_left: int) -> Iterator[Partition]:
-        if slots_left == 0:
-            final = np.where(labels == -2, -1, labels)
-            yield Partition(final)
-            return
-        if num_switches - next_switch < slots_left:
-            return  # not enough switches left to fill the clusters
-        s = next_switch
-        # Option 1: leave s unassigned (only allowed when the machine is
-        # bigger than the workload).
-        if num_switches - s > slots_left:
-            labels[s] = -1
-            yield from rec(s + 1, slots_left)
-            labels[s] = -2
-        # Option 2: assign s to a cluster with capacity; among empty
-        # clusters of equal size only the first is allowed.
-        seen_empty_sizes = set()
-        for c, cap in enumerate(remaining):
-            if cap == 0:
-                continue
-            if cap == sizes[c]:  # cluster still empty
-                if sizes[c] in seen_empty_sizes:
-                    continue
-                seen_empty_sizes.add(sizes[c])
-            labels[s] = c
-            remaining[c] -= 1
-            yield from rec(s + 1, slots_left - 1)
-            remaining[c] += 1
-            labels[s] = -2
-
-    yield from rec(0, n_unassigned_slots)
 
 
 class ExhaustiveSearch(SearchMethod):
@@ -168,4 +122,4 @@ class ExhaustiveSearch(SearchMethod):
         )
 
 
-__all__ = ["ExhaustiveSearch", "enumerate_partitions", "count_partitions"]
+__all__ = ["ExhaustiveSearch", "count_partitions"]

@@ -86,10 +86,6 @@ class ProcessSearchResult:
     iterations: int
     evaluations: int
 
-    @property
-    def improvement(self) -> float:
-        return self.initial_cost - self.cost
-
 
 class ProcessMappingOptimizer:
     """Steepest-descent refinement of a process→host mapping.

@@ -77,20 +77,6 @@ class PartitionState:
                 if labels[b] != la:
                     yield (a, b)
 
-    def best_swap(
-        self, forbidden: "set[Tuple[int, int]] | None" = None,
-        aspiration_below: float = float("-inf"),
-    ) -> Tuple[Tuple[int, int], float] | Tuple[None, float]:
-        """The swap with the most negative (or least positive) ``F_G`` delta.
-
-        ``forbidden`` holds tabu pairs; a tabu swap is still considered when
-        it would drop the value strictly below ``aspiration_below`` (the
-        classical aspiration criterion).  Returns ``(None, 0.0)`` when no
-        candidate exists at all.
-        """
-        pair, delta, _ = self.best_swaps(forbidden, aspiration_below)
-        return pair, delta
-
     def best_swaps(
         self, forbidden: "set[Tuple[int, int]] | None" = None,
         aspiration_below: float = float("-inf"),

@@ -54,11 +54,6 @@ class StoreStats:
     expirations: int
     corruptions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class ResultStore:
     """A thread-safe LRU + TTL map from request fingerprint to response.
@@ -147,21 +142,6 @@ class ResultStore:
                 evicted += 1
         if evicted:
             _metrics.inc("service.store.evictions", evicted)
-
-    def purge(self) -> int:
-        """Drop every expired entry; returns how many were dropped."""
-        if self.ttl is None:
-            return 0
-        now = self._clock()
-        with self._lock:
-            dead = [k for k, (t, _, _) in self._entries.items()
-                    if self._expired(t, now)]
-            for k in dead:
-                del self._entries[k]
-            self._expirations += len(dead)
-        if dead:
-            _metrics.inc("service.store.expirations", len(dead))
-        return len(dead)
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""

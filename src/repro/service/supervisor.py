@@ -135,11 +135,6 @@ class CircuitBreaker:
             return "half_open"
         return "open"
 
-    @property
-    def trips(self) -> int:
-        """How many times the breaker has flipped open."""
-        return self._trips
-
     def reject_after(self) -> Optional[float]:
         """Seconds to wait before retrying, or ``None`` when admitting.
 

@@ -11,10 +11,10 @@ while being orders of magnitude cheaper in Python.
 Key pieces:
 
 - :class:`~repro.simulation.config.SimulationConfig` — message length,
-  buffer depth, delivery channels, arbitration, warmup/measurement;
+  buffer depth, virtual channels, arbitration, warmup/measurement;
 - :mod:`~repro.simulation.traffic` — traffic patterns (the paper's 100 %
-  intracluster uniform pattern, plus uniform/hotspot/intercluster mixes);
-- :mod:`~repro.simulation.engine` — the shared engine interface:
+  intracluster uniform pattern, plus uniform and intercluster mixes);
+- :mod:`~repro.simulation.engine` — engine selection:
   :func:`~repro.simulation.engine.make_simulator` builds either the
   readable reference engine
   (:class:`~repro.simulation.network.WormholeNetworkSimulator`) or the
@@ -31,7 +31,6 @@ from repro.simulation.traffic import (
     TrafficPattern,
     UniformTraffic,
     IntraClusterTraffic,
-    HotspotTraffic,
 )
 from repro.simulation.network import WormholeNetworkSimulator
 from repro.simulation.engine import (
@@ -60,7 +59,6 @@ __all__ = [
     "TrafficPattern",
     "UniformTraffic",
     "IntraClusterTraffic",
-    "HotspotTraffic",
     "WormholeNetworkSimulator",
     "FastWormholeNetworkSimulator",
     "VectorWormholeNetworkSimulator",

@@ -3,15 +3,14 @@
 Defaults follow the standard Duato-school evaluation setup of the paper's
 era: 16-flit messages, small (2-flit) channel buffers, 1 flit/cycle links,
 one injection channel per workstation and one delivery channel per
-workstation port, adaptive selection among the legal shortest up*/down*
-output ports with random arbitration.
+workstation port (so a switch drains up to ``hosts_per_switch`` messages
+at once), adaptive selection among the legal shortest up*/down* output
+ports with random arbitration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.util.validation import check_positive
 
 #: Engine names accepted by ``SimulationConfig.engine``.
@@ -34,8 +33,6 @@ class SimulationConfig:
         Flits per message (header included).
     buffer_flits:
         FIFO buffer capacity of every channel, in flits.
-    delivery_channels:
-        Concurrent message drains per switch (``None`` = hosts per switch).
     virtual_channels:
         Virtual channels multiplexed on every physical inter-switch link
         (each with its own ``buffer_flits`` FIFO; the link still moves at
@@ -83,7 +80,6 @@ class SimulationConfig:
 
     message_length: int = 16
     buffer_flits: int = 2
-    delivery_channels: Optional[int] = None
     virtual_channels: int = 1
     adaptive: bool = True
     warmup_cycles: int = 1000
@@ -97,8 +93,6 @@ class SimulationConfig:
         check_positive(self.message_length, "message_length")
         check_positive(self.buffer_flits, "buffer_flits")
         check_positive(self.virtual_channels, "virtual_channels")
-        if self.delivery_channels is not None:
-            check_positive(self.delivery_channels, "delivery_channels")
         if self.warmup_cycles < 0:
             raise ValueError(f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
         check_positive(self.measure_cycles, "measure_cycles")

@@ -1,4 +1,4 @@
-"""The shared wormhole-engine interface, perf instrumentation and factory.
+"""Wormhole-engine selection, perf instrumentation and result canonicalization.
 
 Three engines implement the same cycle-level semantics, in two contract
 tiers.  The bit-identical tier:
@@ -40,7 +40,7 @@ used by the parity suite and the engine benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Protocol, runtime_checkable
+from typing import Any, Dict
 
 from repro.obs import metrics as _metrics
 from repro.simulation.config import (
@@ -103,40 +103,15 @@ class EnginePerf:
         }
 
 
-@runtime_checkable
-class NetworkEngine(Protocol):
-    """What the rest of the package relies on from a wormhole engine.
-
-    Both engines also share the constructor signature
-    ``(routing_table, traffic, injection_rate, config)``.
-    """
-
-    ENGINE_NAME: str
-    config: SimulationConfig
-    cycle: int
-    generated: int
-    trace: list
-    perf: EnginePerf
-
-    def step(self) -> None:
-        """Advance exactly one cycle (no quiescence skipping)."""
-        ...
-
-    def run(self) -> SimulationResult:
-        """Run warmup + measurement and return the measured point."""
-        ...
-
-    def check_invariants(self) -> None:
-        """Verify conservation/exclusivity invariants; raise on violation."""
-        ...
-
-
 def make_simulator(routing_table, traffic: TrafficPattern,
                    injection_rate: float,
                    config: SimulationConfig = SimulationConfig()):
     """Build the engine selected by ``config.engine``.
 
-    The returned object satisfies :class:`NetworkEngine`.  Results are
+    Every engine takes ``(routing_table, traffic, injection_rate,
+    config)`` and offers ``step()`` (one cycle), ``run()`` (warmup +
+    measurement, returning the measured point) and
+    ``check_invariants()``.  Results are
     bit-identical across the ``reference``/``fast`` engines, so within
     that tier the choice is purely a performance knob; the opt-in
     ``vector`` engine is deterministic per seed but relaxes the contract
@@ -235,7 +210,6 @@ __all__ = [
     "ENGINE_NAMES",
     "BIT_IDENTICAL_ENGINES",
     "EnginePerf",
-    "NetworkEngine",
     "make_simulator",
     "record_engine_metrics",
     "canonical_payload",

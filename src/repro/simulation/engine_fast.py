@@ -127,9 +127,7 @@ class FastWormholeNetworkSimulator:
         # Channel owner as a slot index; -1 = free.
         self.owner: List[int] = [-1] * self.num_channels
 
-        dc = (config.delivery_channels if config.delivery_channels is not None
-              else max(1, topo.hosts_per_switch))
-        self.avail_delivery = [dc] * topo.num_switches
+        self.avail_delivery = [max(1, topo.hosts_per_switch)] * topo.num_switches
 
         # --- host state ------------------------------------------------------
         # Queue entries are (mid, dst_host, generated_cycle) tuples.

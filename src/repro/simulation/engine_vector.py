@@ -497,10 +497,7 @@ class _VectorCore:
             self.total[r] = self.w1[r]
             self.adaptive[r] = cfg.adaptive
             self.record[r] = cfg.record_trace
-            dc = (cfg.delivery_channels
-                  if cfg.delivery_channels is not None
-                  else max(1, topo.hosts_per_switch))
-            self.avail_deliv[r, :] = dc
+            self.avail_deliv[r, :] = max(1, topo.hosts_per_switch)
 
             offered = 0.0
             for h in traffic.active_hosts():
@@ -1506,7 +1503,7 @@ def _dense_candidates(table: RoutingTable,
 
 
 class VectorWormholeNetworkSimulator:
-    """Single-replication :class:`NetworkEngine` view over a vector core.
+    """Single-replication engine view over a vector core.
 
     The drop-in ``engine="vector"`` object built by ``make_simulator``: a
     batch of one, so solo callers (probes, stepwise tests, the CLI) use

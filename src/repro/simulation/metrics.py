@@ -53,16 +53,6 @@ class SimulationResult:
                  / self.offered_flits_per_switch_cycle)
         return ratio < 0.95
 
-    def summary_row(self) -> Dict[str, float]:
-        """Compact dict of the headline numbers (for tables/logging)."""
-        return {
-            "offered": self.offered_flits_per_switch_cycle,
-            "accepted": self.accepted_flits_per_switch_cycle,
-            "latency": self.avg_latency,
-            "completed": self.messages_completed,
-            "saturated": float(self.saturated),
-        }
-
     def __repr__(self) -> str:
         lat = "nan" if math.isnan(self.avg_latency) else f"{self.avg_latency:.1f}"
         return (

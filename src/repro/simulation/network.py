@@ -112,9 +112,7 @@ class WormholeNetworkSimulator:
         self._link_budget = [1] * self.num_physical
         self.owner: List[Optional[Message]] = [None] * self.num_channels
 
-        dc = (config.delivery_channels if config.delivery_channels is not None
-              else max(1, topo.hosts_per_switch))
-        self.avail_delivery = [dc] * topo.num_switches
+        self.avail_delivery = [max(1, topo.hosts_per_switch)] * topo.num_switches
 
         # --- host state ------------------------------------------------------
         self.queues: Dict[int, Deque[Message]] = {}

@@ -3,10 +3,9 @@
 The paper's evaluation traffic is *100 % intracluster uniform*: every
 process sends only to other processes of its own logical cluster, all
 processes inject at the same rate (:class:`IntraClusterTraffic` with
-``intercluster_fraction=0``).  :class:`UniformTraffic` and
-:class:`HotspotTraffic` cover the standard comparison patterns, and the
-``intercluster_fraction`` knob implements the paper's future-work
-relaxation of the all-intracluster assumption.
+``intercluster_fraction=0``).  :class:`UniformTraffic` is the standard
+comparison pattern, and the ``intercluster_fraction`` knob implements the
+paper's future-work relaxation of the all-intracluster assumption.
 """
 
 from __future__ import annotations
@@ -117,35 +116,8 @@ class IntraClusterTraffic(TrafficPattern):
         return self._weights[self.cluster_of[host]]
 
 
-class HotspotTraffic(TrafficPattern):
-    """Uniform traffic with a fraction directed at hotspot hosts."""
-
-    def __init__(self, topology: Topology, hotspots: Sequence[int],
-                 hotspot_fraction: float = 0.2):
-        check_probability(hotspot_fraction, "hotspot_fraction")
-        if not hotspots:
-            raise ValueError("need at least one hotspot host")
-        for h in hotspots:
-            if not (0 <= h < topology.num_hosts):
-                raise ValueError(f"hotspot host {h} out of range")
-        self.uniform = UniformTraffic(topology)
-        self.hotspots = list(hotspots)
-        self.hotspot_fraction = hotspot_fraction
-
-    def dest_for(self, src_host: int, rng: random.Random) -> int:
-        if rng.random() < self.hotspot_fraction:
-            candidates = [h for h in self.hotspots if h != src_host]
-            if candidates:
-                return candidates[rng.randrange(len(candidates))]
-        return self.uniform.dest_for(src_host, rng)
-
-    def active_hosts(self) -> Sequence[int]:
-        return self.uniform.active_hosts()
-
-
 __all__ = [
     "TrafficPattern",
     "UniformTraffic",
     "IntraClusterTraffic",
-    "HotspotTraffic",
 ]

@@ -9,28 +9,18 @@ switches and 1 port is left open.  This package provides:
 - :func:`~repro.topology.irregular.random_irregular_topology` — the paper's
   random generator (connected, simple, fixed inter-switch degree);
 - :mod:`~repro.topology.designed` — the specially designed 24-switch
-  four-ring network of Figure 4 plus a collection of regular topologies
-  (ring, mesh, torus, hypercube, ...) used to exercise the claim that the
-  technique applies to regular networks as well.
+  four-ring network of Figure 4 plus regular topologies (mesh, torus,
+  hypercube) used to exercise the claim that the technique applies to
+  regular networks as well.
 """
 
 from repro.topology.graph import Topology, Link
 from repro.topology.irregular import random_irregular_topology
 from repro.topology.designed import (
     four_rings_topology,
-    ring_topology,
     mesh_topology,
     torus_topology,
     hypercube_topology,
-    complete_topology,
-    star_topology,
-    binary_tree_topology,
-    clustered_random_topology,
-)
-from repro.topology.validate import (
-    validate_topology,
-    check_paper_constraints,
-    TopologyError,
 )
 from repro.topology.metrics import (
     average_distance,
@@ -44,17 +34,9 @@ __all__ = [
     "Link",
     "random_irregular_topology",
     "four_rings_topology",
-    "ring_topology",
     "mesh_topology",
     "torus_topology",
     "hypercube_topology",
-    "complete_topology",
-    "star_topology",
-    "binary_tree_topology",
-    "clustered_random_topology",
-    "validate_topology",
-    "check_paper_constraints",
-    "TopologyError",
     "average_distance",
     "bisection_width",
     "edge_connectivity",

@@ -3,18 +3,15 @@
 :func:`four_rings_topology` rebuilds the "specially designed" 24-switch
 network of Figure 4: four interconnected rings of six switches each, used
 to test whether the scheduling technique recovers well-defined clusters.
-The remaining constructors (ring, mesh, torus, hypercube, ...) exercise the
-paper's claim that the technique "is applicable to both regular and
-irregular topologies".
+The mesh, torus and hypercube constructors exercise the paper's claim that
+the technique "is applicable to both regular and irregular topologies".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
+from typing import List
 
 from repro.topology.graph import Link, Topology
-from repro.util.rng import SeedLike, as_rng
 
 
 def four_rings_topology(
@@ -76,15 +73,6 @@ def four_rings_topology(
     )
 
 
-def ring_topology(n: int, *, hosts_per_switch: int = 4, switch_ports: int = 8) -> Topology:
-    """A single cycle of ``n`` switches."""
-    if n < 3:
-        raise ValueError(f"a ring needs >= 3 switches, got {n}")
-    links = [(i, (i + 1) % n) for i in range(n)]
-    return Topology(n, links, hosts_per_switch=hosts_per_switch,
-                    switch_ports=switch_ports, name=f"ring-{n}")
-
-
 def mesh_topology(rows: int, cols: int, *, hosts_per_switch: int = 4,
                   switch_ports: int = 8) -> Topology:
     """A 2-D mesh (no wraparound)."""
@@ -132,121 +120,9 @@ def hypercube_topology(dim: int, *, hosts_per_switch: int = 4,
                     switch_ports=ports, name=f"hypercube-{dim}d")
 
 
-def complete_topology(n: int, *, hosts_per_switch: int = 4,
-                      switch_ports: int | None = None) -> Topology:
-    """A fully connected switch network (degree = n-1)."""
-    if n < 2:
-        raise ValueError(f"complete topology needs >= 2 switches, got {n}")
-    links = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    ports = switch_ports if switch_ports is not None else hosts_per_switch + n - 1
-    return Topology(n, links, hosts_per_switch=hosts_per_switch,
-                    switch_ports=ports, name=f"complete-{n}")
-
-
-def star_topology(n: int, *, hosts_per_switch: int = 4,
-                  switch_ports: int | None = None) -> Topology:
-    """Switch 0 at the centre, switches 1..n-1 as leaves."""
-    if n < 2:
-        raise ValueError(f"star topology needs >= 2 switches, got {n}")
-    links = [(0, i) for i in range(1, n)]
-    ports = switch_ports if switch_ports is not None else hosts_per_switch + n - 1
-    return Topology(n, links, hosts_per_switch=hosts_per_switch,
-                    switch_ports=ports, name=f"star-{n}")
-
-
-def binary_tree_topology(levels: int, *, hosts_per_switch: int = 4,
-                         switch_ports: int = 8) -> Topology:
-    """A complete binary tree with ``levels`` levels (2**levels - 1 switches)."""
-    if levels < 1:
-        raise ValueError(f"tree needs >= 1 level, got {levels}")
-    n = (1 << levels) - 1
-    links = [((i - 1) // 2, i) for i in range(1, n)]
-    return Topology(n, links, hosts_per_switch=hosts_per_switch,
-                    switch_ports=switch_ports, name=f"btree-{levels}")
-
-
-def clustered_random_topology(
-    clusters: int,
-    cluster_size: int,
-    *,
-    intra_degree: int = 2,
-    inter_links_per_cluster: int = 2,
-    hosts_per_switch: int = 4,
-    switch_ports: int = 8,
-    seed: SeedLike = None,
-) -> Topology:
-    """Random topology with planted cluster structure.
-
-    Each cluster is a ring of ``cluster_size`` switches (guaranteeing
-    intra-cluster connectivity), optionally densified with random chords up
-    to ``intra_degree`` extra links per switch, and clusters are joined in a
-    cycle by ``inter_links_per_cluster`` random links to the next cluster.
-    Used by tests and ablations: the planted partition should be recovered
-    by the scheduling technique and should score a high clustering
-    coefficient.
-    """
-    if clusters < 2:
-        raise ValueError(f"need >= 2 clusters, got {clusters}")
-    if cluster_size < 3:
-        raise ValueError(f"cluster_size must be >= 3, got {cluster_size}")
-    rng = as_rng(seed)
-    n = clusters * cluster_size
-    links = set()
-
-    def add(u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        if key in links:
-            return False
-        links.add(key)
-        return True
-
-    for c in range(clusters):
-        base = c * cluster_size
-        for k in range(cluster_size):
-            add(base + k, base + (k + 1) % cluster_size)
-        # Random chords inside the cluster.
-        extra = max(0, intra_degree - 2) * cluster_size // 2
-        attempts = 0
-        while extra > 0 and attempts < 100 * cluster_size:
-            u, v = rng.integers(0, cluster_size, size=2)
-            if add(base + int(u), base + int(v)):
-                extra -= 1
-            attempts += 1
-
-    for c in range(clusters):
-        nxt = (c + 1) % clusters
-        placed = 0
-        attempts = 0
-        while placed < inter_links_per_cluster and attempts < 1000:
-            u = c * cluster_size + int(rng.integers(0, cluster_size))
-            v = nxt * cluster_size + int(rng.integers(0, cluster_size))
-            if add(u, v):
-                placed += 1
-            attempts += 1
-
-    max_deg = switch_ports - hosts_per_switch
-    degs: Dict[int, int] = {i: 0 for i in range(n)}
-    for u, v in links:
-        degs[u] += 1
-        degs[v] += 1
-    ports = switch_ports
-    if max(degs.values()) > max_deg:
-        ports = hosts_per_switch + max(degs.values())
-    return Topology(n, sorted(links), hosts_per_switch=hosts_per_switch,
-                    switch_ports=ports,
-                    name=f"clustered-{clusters}x{cluster_size}")
-
-
 __all__ = [
     "four_rings_topology",
-    "ring_topology",
     "mesh_topology",
     "torus_topology",
     "hypercube_topology",
-    "complete_topology",
-    "star_topology",
-    "binary_tree_topology",
-    "clustered_random_topology",
 ]

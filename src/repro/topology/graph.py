@@ -22,7 +22,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class Topology:
                 )
             neigh.sort()
         self._adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self._link_index: Dict[Link, int] = {l: i for i, l in enumerate(self._links)}
+        self._link_set = frozenset(self._links)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -169,17 +169,9 @@ class Topology:
         """Inter-switch degree (links only; hosts are not counted)."""
         return len(self._adj[switch])
 
-    def open_ports(self, switch: int) -> int:
-        """Ports of ``switch`` not used by hosts or links."""
-        return self._switch_ports - self._hosts_per_switch - self.degree(switch)
-
     def has_link(self, u: int, v: int) -> bool:
         """True when switches ``u`` and ``v`` are directly linked."""
-        return _normalize_link(u, v) in self._link_index
-
-    def link_id(self, u: int, v: int) -> int:
-        """Stable integer id of the (undirected) link ``u-v``."""
-        return self._link_index[_normalize_link(u, v)]
+        return _normalize_link(u, v) in self._link_set
 
     # ------------------------------------------------------------------ #
     # host numbering
@@ -201,19 +193,6 @@ class Topology:
     # ------------------------------------------------------------------ #
     # derived structures
     # ------------------------------------------------------------------ #
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense ``N×N`` 0/1 adjacency matrix (switches only)."""
-        a = np.zeros((self._n, self._n), dtype=np.int64)
-        for u, v in self._links:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
-
-    def laplacian(self) -> np.ndarray:
-        """Graph Laplacian ``D - A`` of the switch graph."""
-        a = self.adjacency_matrix().astype(float)
-        return np.diag(a.sum(axis=1)) - a
 
     def is_connected(self) -> bool:
         """True when every switch is reachable from switch 0."""
@@ -248,39 +227,18 @@ class Topology:
         g.add_edges_from(self._links)
         return g
 
-    def without_link(self, u: int, v: int) -> "Topology":
-        """A copy of this topology with the link ``u-v`` removed.
-
-        Models a link failure (Autonet-style networks reconfigure their
-        up*/down* trees after failures).  The result may be disconnected —
-        callers decide whether that is fatal for their use.
-        """
-        key = _normalize_link(u, v)
-        if key not in self._link_index:
-            raise ValueError(
-                f"({u},{v}) is not a link of {self.name}; links are "
-                f"{list(self._links)[:8]}{'...' if self.num_links > 8 else ''}"
-            )
-        links = [l for l in self._links if l != key]
-        return Topology(
-            self._n,
-            links,
-            hosts_per_switch=self._hosts_per_switch,
-            switch_ports=self._switch_ports,
-            name=f"{self.name}-minus-{key[0]}-{key[1]}",
-        )
-
     def without_links(self, links: Iterable[Link]) -> "Topology":
         """A copy of this topology with every link in ``links`` removed.
 
-        Multi-link generalization of :meth:`without_link` (one validation
-        pass, one copy).  Raises ``ValueError`` naming the first link that
-        is not part of the topology.
+        Models link failures (Autonet-style networks reconfigure their
+        up*/down* trees after failures); the result may be disconnected.
+        Raises ``ValueError`` naming the first link that is not part of the
+        topology.
         """
         keys = set()
         for u, v in links:
             key = _normalize_link(int(u), int(v))
-            if key not in self._link_index:
+            if key not in self._link_set:
                 raise ValueError(f"({u},{v}) is not a link of {self.name}")
             keys.add(key)
         if not keys:
@@ -293,37 +251,6 @@ class Topology:
             hosts_per_switch=self._hosts_per_switch,
             switch_ports=self._switch_ports,
             name=f"{self.name}-minus-{tag}",
-        )
-
-    def without_switch(self, switch: int) -> "Topology":
-        """A copy with ``switch`` (and every link touching it) removed.
-
-        Models a switch failure: its hosts disappear with it.  Remaining
-        switches are renumbered compactly (ids above ``switch`` shift down
-        by one) so the result is a well-formed topology; callers that need
-        to keep the original ids should use
-        :meth:`induced_subtopology` instead.
-        """
-        if not (0 <= switch < self._n):
-            raise ValueError(
-                f"switch {switch} is not a switch of {self.name} "
-                f"(valid ids: 0..{self._n - 1})"
-            )
-        if self._n == 1:
-            raise ValueError(
-                f"cannot remove switch {switch}: {self.name} has a single switch"
-            )
-        links = [
-            (u - (u > switch), v - (v > switch))
-            for u, v in self._links
-            if switch not in (u, v)
-        ]
-        return Topology(
-            self._n - 1,
-            links,
-            hosts_per_switch=self._hosts_per_switch,
-            switch_ports=self._switch_ports,
-            name=f"{self.name}-minus-sw{switch}",
         )
 
     def induced_subtopology(self, switches: Iterable[int]) -> "Topology":

@@ -8,17 +8,14 @@ on them without creating import cycles.
 from repro.util.rng import as_rng, spawn_rngs, derive_seed
 from repro.util.stats import (
     pearson,
-    spearman,
     summarize,
     RunningStats,
 )
 from repro.util.validation import (
     check_positive,
-    check_non_negative,
     check_in_range,
     check_probability,
     check_square_matrix,
-    check_symmetric,
 )
 from repro.util.reporting import Table, format_float
 from repro.util.asciiplot import line_plot, bar_chart
@@ -28,15 +25,12 @@ __all__ = [
     "spawn_rngs",
     "derive_seed",
     "pearson",
-    "spearman",
     "summarize",
     "RunningStats",
     "check_positive",
-    "check_non_negative",
     "check_in_range",
     "check_probability",
     "check_square_matrix",
-    "check_symmetric",
     "Table",
     "format_float",
     "line_plot",

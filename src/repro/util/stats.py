@@ -40,31 +40,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float(min(1.0, max(-1.0, np.dot(xd, yd) / (sx * sy))))
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation (Pearson on ranks, average-rank ties)."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    return pearson(_rankdata(xa), _rankdata(ya))
-
-
-def _rankdata(a: np.ndarray) -> np.ndarray:
-    """Ranks with average tie handling (1-based), minimal scipy-free version."""
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size, dtype=float)
-    sorted_a = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
-
-
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Mean / std / min / max / median of a sample as a plain dict."""
     a = np.asarray(values, dtype=float)
@@ -105,25 +80,6 @@ class RunningStats:
             self._min = x
         if x > self._max:
             self._max = x
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel combination)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        n = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self._mean += delta * other.count / n
-        self.count = n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
 
     @property
     def mean(self) -> float:
@@ -202,10 +158,5 @@ class ReservoirSampler:
         vals = np.percentile(np.asarray(self._sample), list(qs))
         return {f"p{int(q)}": float(v) for q, v in zip(qs, vals)}
 
-    @property
-    def sample_size(self) -> int:
-        return len(self._sample)
 
-
-__all__ = ["pearson", "spearman", "summarize", "RunningStats",
-           "ReservoirSampler"]
+__all__ = ["pearson", "summarize", "RunningStats", "ReservoirSampler"]

@@ -18,12 +18,6 @@ def check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-def check_non_negative(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
 def check_in_range(value: float, name: str, lo: float, hi: float) -> None:
     """Raise ``ValueError`` unless ``lo <= value <= hi``."""
     if not (lo <= value <= hi):
@@ -43,19 +37,9 @@ def check_square_matrix(m: Any, name: str) -> np.ndarray:
     return a
 
 
-def check_symmetric(m: Any, name: str, atol: float = 1e-9) -> np.ndarray:
-    """Require a square matrix symmetric within ``atol``."""
-    a = check_square_matrix(m, name)
-    if not np.allclose(a, a.T, atol=atol):
-        raise ValueError(f"{name} must be symmetric (atol={atol})")
-    return a
-
-
 __all__ = [
     "check_positive",
-    "check_non_negative",
     "check_in_range",
     "check_probability",
     "check_square_matrix",
-    "check_symmetric",
 ]

@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import (
     SCENARIOS,
     ChaoticExecutor,
-    error_at,
+    FaultAction,
     kill_workers,
     render_report,
     run_scenarios,
@@ -34,7 +34,7 @@ def payloads():
 class TestChaoticExecutor:
     def test_error_fault_fires_exactly_once_per_seq(self, tmp_path,
                                                     payloads):
-        executor = ChaoticExecutor(error_at(1), str(tmp_path / "latch"))
+        executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"))
         with pytest.raises(RuntimeError, match="chaos"):
             executor(1, payloads)
         # Same seq again: the latch is claimed, the batch runs clean.
@@ -42,12 +42,12 @@ class TestChaoticExecutor:
         assert [r["seed"] for r in results] == [1, 2]
 
     def test_unplanned_seqs_execute_normally(self, tmp_path, payloads):
-        executor = ChaoticExecutor(error_at(1), str(tmp_path / "latch"))
+        executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"))
         results = executor(2, payloads)
         assert results == [execute_request(p) for p in payloads]
 
     def test_once_false_fires_every_attempt(self, tmp_path, payloads):
-        executor = ChaoticExecutor(error_at(1), str(tmp_path / "latch"),
+        executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"),
                                    once=False)
         for _ in range(3):
             with pytest.raises(RuntimeError, match="chaos"):
@@ -62,7 +62,9 @@ class TestChaoticExecutor:
     def test_executor_is_picklable(self, tmp_path):
         import pickle
 
-        executor = ChaoticExecutor(error_at(1, 2), str(tmp_path / "latch"))
+        executor = ChaoticExecutor(
+            {1: FaultAction("error"), 2: FaultAction("error")},
+            str(tmp_path / "latch"))
         clone = pickle.loads(pickle.dumps(executor))
         assert clone.plan == executor.plan
         assert clone.latch_dir == executor.latch_dir

@@ -8,12 +8,9 @@ from repro.chaos.plan import (
     EXECUTOR_FAULTS,
     FaultAction,
     crash_at,
-    error_at,
     hang_at,
     mutate_frame,
-    random_plan,
     slow_at,
-    wire_action,
 )
 
 
@@ -31,47 +28,7 @@ class TestFaultAction:
     def test_builders_key_on_batch_numbers(self):
         assert set(crash_at(1, 3)) == {1, 3}
         assert hang_at(2, delay=5.0)[2] == FaultAction("hang", delay=5.0)
-        assert error_at(4)[4].kind == "error"
         assert slow_at(5)[5].kind == "slow"
-
-
-class TestRandomPlan:
-    def test_same_seed_same_plan(self):
-        a = random_plan(7, batches=50)
-        b = random_plan(7, batches=50)
-        assert a == b
-
-    def test_different_seeds_differ(self):
-        assert random_plan(7, batches=50) != random_plan(8, batches=50)
-
-    def test_rate_bounds_the_plan_size(self):
-        assert random_plan(1, batches=100, rate=0.0) == {}
-        assert len(random_plan(1, batches=100, rate=1.0)) == 100
-
-
-class TestWireAction:
-    def test_pure_function_of_the_triple(self):
-        for conn in range(3):
-            for frame in range(10):
-                first = wire_action(9, conn, frame, drop=0.5)
-                again = wire_action(9, conn, frame, drop=0.5)
-                assert first == again
-
-    def test_zero_probabilities_always_forward(self):
-        assert all(wire_action(1, c, f) == "forward"
-                   for c in range(4) for f in range(25))
-
-    def test_full_probability_never_forwards(self):
-        actions = {wire_action(1, c, f, tear=0.3, drop=0.3, garbage=0.4)
-                   for c in range(4) for f in range(25)}
-        assert "forward" not in actions
-        assert actions <= {"tear", "drop", "garbage"}
-
-    def test_probabilities_are_validated(self):
-        with pytest.raises(ValueError, match="probabilities"):
-            wire_action(1, 0, 0, tear=1.5)
-        with pytest.raises(ValueError, match="<= 1"):
-            wire_action(1, 0, 0, tear=0.6, drop=0.6)
 
 
 class TestMutateFrame:

@@ -13,12 +13,9 @@ from repro.core.scheduler import CommunicationAwareScheduler
 from repro.distance.table import build_distance_table
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
-from repro.topology.designed import (
-    four_rings_topology,
-    mesh_topology,
-    ring_topology,
-)
+from repro.topology.designed import four_rings_topology, mesh_topology
 from repro.topology.irregular import random_irregular_topology
+from tests.topologies import ring_topology
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,7 @@ import pytest
 from repro.core.mapping import Partition, Workload, partition_to_mapping, random_partition
 from repro.core.quality import (
     QualityEvaluator,
-    cluster_dissimilarity,
-    cluster_similarity,
     clustering_coefficient,
-    dissimilarity_global,
-    similarity_global,
     weighted_mapping_cost,
 )
 
@@ -29,29 +25,31 @@ def tiny_table():
 
 class TestClusterFunctions:
     def test_cluster_similarity_eq1(self, tiny_table):
+        ev = QualityEvaluator(tiny_table)
         # F_A for cluster {0,1}: single pair at distance 1 -> 1^2 = 1.
-        assert cluster_similarity(tiny_table, [0, 1]) == 1.0
+        assert ev.intracluster_sum(Partition([0, 0, -1, -1])) == 1.0
         # Cluster {0,2}: distance 5 -> 25.
-        assert cluster_similarity(tiny_table, [0, 2]) == 25.0
+        assert ev.intracluster_sum(Partition([0, -1, 0, -1])) == 25.0
         # Three nodes {0,1,2}: 1 + 25 + 25.
-        assert cluster_similarity(tiny_table, [0, 1, 2]) == 51.0
+        assert ev.intracluster_sum(Partition([0, 0, 0, -1])) == 51.0
 
     def test_cluster_similarity_singleton(self, tiny_table):
-        assert cluster_similarity(tiny_table, [3]) == 0.0
+        ev = QualityEvaluator(tiny_table)
+        assert ev.intracluster_sum(Partition([-1, -1, -1, 0])) == 0.0
 
     def test_cluster_dissimilarity_eq4(self, tiny_table):
-        p = Partition([0, 0, 1, 1])
+        ev = QualityEvaluator(tiny_table)
         # D_A0 = sum of squared distances from {0,1} to {2,3} = 4 * 25.
-        assert cluster_dissimilarity(tiny_table, p, 0) == 100.0
-        assert cluster_dissimilarity(tiny_table, p, 1) == 100.0
+        assert ev.intercluster_sum(Partition([0, 0, -1, -1])) == 100.0
+        assert ev.intercluster_sum(Partition([0, 0, 1, 1])) == 200.0
 
 
 class TestGlobalFunctions:
     def test_good_partition_f_below_1(self, tiny_table):
         good = Partition([0, 0, 1, 1])
         bad = Partition([0, 1, 0, 1])
-        f_good = similarity_global(tiny_table, good)
-        f_bad = similarity_global(tiny_table, bad)
+        f_good = QualityEvaluator(tiny_table).similarity(good)
+        f_bad = QualityEvaluator(tiny_table).similarity(bad)
         assert f_good < 1.0 < f_bad
         # Closed form: norm = (1+25*4+1)/6 = 17.67; F numerator good: (1+1)/2 pairs...
         # good: sum F_Ai = 1 + 1 = 2 over 2 pairs = 1; F_G = 1 / norm.
@@ -63,14 +61,15 @@ class TestGlobalFunctions:
         good = Partition([0, 0, 1, 1])
         norm = (1 + 1 + 25 * 4) / 6
         # sum D_Ai = 200, intercluster count = 2*(4-2)*2 = 8.
-        assert dissimilarity_global(tiny_table, good) == pytest.approx(
+        assert QualityEvaluator(tiny_table).dissimilarity(good) == pytest.approx(
             (200 / 8) / norm
         )
 
     def test_c_c_is_ratio(self, tiny_table):
         p = Partition([0, 0, 1, 1])
+        ev = QualityEvaluator(tiny_table)
         assert clustering_coefficient(tiny_table, p) == pytest.approx(
-            dissimilarity_global(tiny_table, p) / similarity_global(tiny_table, p)
+            ev.dissimilarity(p) / ev.similarity(p)
         )
 
     def test_c_c_single_pass_matches_two_call_path(self, table16):
@@ -102,24 +101,26 @@ class TestGlobalFunctions:
     def test_all_singletons_f_undefined(self, tiny_table):
         p = Partition([0, 1, 2, 3])
         with pytest.raises(ValueError, match="F_G undefined"):
-            similarity_global(tiny_table, p)
+            QualityEvaluator(tiny_table).similarity(p)
 
     def test_single_full_cluster_d_undefined(self, tiny_table):
         p = Partition([0, 0, 0, 0])
         with pytest.raises(ValueError, match="D_G undefined"):
-            dissimilarity_global(tiny_table, p)
+            QualityEvaluator(tiny_table).dissimilarity(p)
 
     def test_random_mapping_f_near_1(self, table16):
         # E[F_G] over random partitions is exactly 1 by construction.
+        ev = QualityEvaluator(table16)
         vals = [
-            similarity_global(table16, random_partition([4] * 4, 16, seed=s))
+            ev.similarity(random_partition([4] * 4, 16, seed=s))
             for s in range(200)
         ]
         assert np.mean(vals) == pytest.approx(1.0, abs=0.05)
 
     def test_random_mapping_d_near_1(self, table16):
+        ev = QualityEvaluator(table16)
         vals = [
-            dissimilarity_global(table16, random_partition([4] * 4, 16, seed=s))
+            ev.dissimilarity(random_partition([4] * 4, 16, seed=s))
             for s in range(200)
         ]
         assert np.mean(vals) == pytest.approx(1.0, abs=0.02)
@@ -133,8 +134,8 @@ class TestGlobalFunctions:
 
     def test_accepts_distance_table_object(self, table16):
         p = random_partition([4] * 4, 16, seed=1)
-        assert similarity_global(table16, p) == pytest.approx(
-            similarity_global(table16.values, p)
+        assert QualityEvaluator(table16).similarity(p) == pytest.approx(
+            QualityEvaluator(table16.values).similarity(p)
         )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mapping import Partition, Workload
+from repro.core.mapping import Partition, Workload, partition_to_mapping
 from repro.core.scheduler import CommunicationAwareScheduler
 from repro.distance.table import hop_distance_table
 from repro.routing.minimal import MinimalRouting
@@ -55,10 +55,11 @@ class TestSchedule:
         assert res.c_c == pytest.approx(scores["C_c"])
         assert res.c_c == pytest.approx(res.d_g / res.f_g)
 
-    def test_mapping_expands_partition(self, scheduler16, workload16):
+    def test_mapping_expands_partition(self, scheduler16, workload16, topo16):
         res = scheduler16.schedule(workload16, seed=3)
         res.mapping.validate()
-        assert res.mapping.induced_partition() == res.partition
+        assert res.mapping == partition_to_mapping(res.partition, workload16,
+                                                   topo16)
 
     def test_search_trace_attached(self, scheduler16, workload16):
         res = scheduler16.schedule(workload16, seed=4)

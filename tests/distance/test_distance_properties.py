@@ -63,7 +63,7 @@ def test_distance_table_invariants_random_topology(seed):
     routing = UpDownRouting(topo)
     table = build_distance_table(routing)
     legal = routing.distances().astype(float)
-    assert table.is_symmetric()
+    assert np.allclose(table.values, table.values.T)
     assert (np.diag(table.values) == 0).all()
     off = table.values + np.eye(10)
     assert (off > 0).all()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.distance.metrics import (
     distance_hop_correlation,
-    quadratic_mean,
     triangle_violations,
 )
 from repro.distance.table import DistanceTable, hop_distance_table
@@ -40,15 +39,6 @@ class TestTriangleViolations:
         # of why the paper cannot use Euclidean clustering.
         h = hop_distance_table(routing16)
         assert triangle_violations(h) > 0
-
-
-class TestQuadraticMean:
-    def test_closed_form(self):
-        vals = np.array([[0, 3], [3, 0]], dtype=float)
-        assert quadratic_mean(DistanceTable(vals)) == pytest.approx(3.0)
-
-    def test_positive_for_real_table(self, table16):
-        assert quadratic_mean(table16) > 0
 
 
 class TestDistanceHopCorrelation:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.quality import QualityEvaluator
 from repro.distance.table import DistanceTable, build_distance_table, hop_distance_table
 from repro.routing.minimal import MinimalRouting
 from repro.routing.updown import UpDownRouting
-from repro.topology.designed import binary_tree_topology, ring_topology
 from repro.topology.graph import Topology
+from tests.topologies import binary_tree_topology, ring_topology
 
 
 class TestDistanceTable:
@@ -39,8 +40,8 @@ class TestDistanceTable:
 
     def test_quadratic_mean_squared(self):
         vals = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
-        t = DistanceTable(vals)
-        assert t.quadratic_mean_squared() == pytest.approx((1 + 4 + 9) / 3)
+        # The paper's normalization: mean T_ij² over unordered pairs.
+        assert QualityEvaluator(vals).norm == pytest.approx((1 + 4 + 9) / 3)
 
     def test_roundtrip_dict(self):
         t = DistanceTable(np.array([[0.0, 1.5], [1.5, 0.0]]), kind="hops",
@@ -52,7 +53,7 @@ class TestDistanceTable:
 
 class TestBuildDistanceTable:
     def test_symmetric_nonneg(self, table16):
-        assert table16.is_symmetric()
+        assert np.allclose(table16.values, table16.values.T)
         assert (table16.values >= 0).all()
         assert (np.diag(table16.values) == 0).all()
 

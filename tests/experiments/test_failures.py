@@ -19,8 +19,8 @@ from repro.faults.model import FaultScenario, sample_fault_scenarios
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
 from repro.search.tabu import TabuSearch
-from repro.topology.designed import star_topology
 from repro.topology.irregular import random_irregular_topology
+from tests.topologies import star_topology
 
 
 def _single_links(links):
@@ -72,7 +72,7 @@ class TestFailureStudy:
 
     def test_updown_reconnects_after_failure(self, setup16):
         for link in setup16.topology.links[:8]:
-            failed = setup16.topology.without_link(*link)
+            failed = setup16.topology.without_links([link])
             if failed.is_connected():
                 r = UpDownRouting(failed)
                 d = r.distances()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.degrade import degrade
 from repro.faults.model import FaultScenario
 from repro.topology.graph import Topology
-from repro.topology.designed import ring_topology, star_topology
+from tests.topologies import ring_topology, star_topology
 
 
 class TestHealthy:
@@ -53,14 +53,13 @@ class TestComponents:
         net = degrade(topo, FaultScenario(links=[(0, 1)]))
         sizes = sorted(c.size for c in net.components)
         assert sizes == [1, 4]
-        # Largest component first, and largest_component() agrees.
+        # Largest component first.
         assert net.components[0].size == 4
-        assert net.largest_component() is net.components[0]
 
     def test_component_id_maps_round_trip(self):
         topo = star_topology(5)
         net = degrade(topo, FaultScenario(links=[(0, 2)]))
-        comp = net.largest_component()
+        comp = net.components[0]
         for g in comp.switches:
             assert comp.to_global[comp.to_local[g]] == g
 

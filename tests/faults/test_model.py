@@ -3,6 +3,7 @@
 import pytest
 
 from repro import serialize
+from repro.faults.degrade import degrade
 from repro.faults.model import (
     FaultScenario,
     sample_fault_scenarios,
@@ -47,16 +48,15 @@ class TestFaultScenario:
 
     def test_apply_keeps_ids_and_drops_links(self, topo8):
         link = topo8.links[0]
-        degraded = FaultScenario(links=[link]).apply(topo8)
-        assert degraded.num_switches == topo8.num_switches
-        assert link not in degraded.links
-        assert len(degraded.links) == len(topo8.links) - 1
+        net = degrade(topo8, FaultScenario(links=[link]))
+        assert net.surviving_switches == tuple(range(topo8.num_switches))
+        assert link not in net.surviving_links
+        assert len(net.surviving_links) == len(topo8.links) - 1
 
     def test_apply_switch_fault_isolates_it(self, topo8):
-        s = FaultScenario(switches=[0])
-        degraded = s.apply(topo8)
-        assert degraded.num_switches == topo8.num_switches
-        assert all(0 not in l for l in degraded.links)
+        net = degrade(topo8, FaultScenario(switches=[0]))
+        assert 0 not in net.surviving_switches
+        assert all(0 not in l for l in net.surviving_links)
 
     def test_json_round_trip(self):
         s = FaultScenario(links=[(0, 3), (1, 2)], switches=[4], name="demo")

@@ -13,7 +13,7 @@ from repro.faults.reschedule import (
     repair_schedule,
     schedule_degraded,
 )
-from repro.topology.designed import star_topology
+from tests.topologies import star_topology
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,6 @@ class TestRepair:
         assert cmp.repair_gap == pytest.approx(
             cmp.rescheduled.c_c - cmp.repaired.c_c
         )
-        assert cmp.speedup > 0
 
     def test_evaluate_requires_full_machine(self, workload8, baseline8):
         topo = star_topology(5)
@@ -101,7 +100,7 @@ class TestDegradedMode:
         assert len(plan.placements) == workload.num_clusters
         # Hub component (4 switches x 4 hosts = 16 hosts) fits both
         # 8-process clusters.
-        assert plan.all_placed
+        assert not plan.unplaced
 
     def test_capacity_loss_unplaces_clusters_gracefully(self, topo8):
         # Kill a switch: 28 hosts remain, 2x16 processes no longer fit.
@@ -110,32 +109,19 @@ class TestDegradedMode:
         plan = schedule_degraded(net, workload, seed=1)
         assert len(plan.placed) == 1
         assert len(plan.unplaced) == 1
-        assert not plan.all_placed
-        assert plan.to_partition(topo8.num_switches) is None
-
-    def test_placed_plan_round_trips_to_partition(self, topo8):
-        workload = Workload.uniform(2, 12)  # fits after losing a switch
-        net = degrade(topo8, FaultScenario(switches=[7]))
-        plan = schedule_degraded(net, workload, seed=1)
-        if plan.all_placed:
-            p = plan.to_partition(topo8.num_switches)
-            assert p is not None
-            for placement in plan.placed:
-                for s in placement.switches:
-                    assert p.labels[s] == placement.cluster_index
 
     def test_assignment_uses_global_switch_ids(self):
         topo = star_topology(5)
         net = degrade(topo, FaultScenario(links=[(0, 1)]))
         plan = schedule_degraded(net, Workload.uniform(2, 8), seed=1)
         surviving = set(net.surviving_switches)
-        for switches in plan.assignment().values():
-            assert set(switches) <= surviving
+        for placement in plan.placed:
+            assert set(placement.switches) <= surviving
 
     def test_deterministic_given_seed(self, topo8):
         workload = Workload.uniform(2, 12)
         net = degrade(topo8, FaultScenario(switches=[3]))
         a = schedule_degraded(net, workload, seed=9)
         b = schedule_degraded(net, workload, seed=9)
-        assert a.assignment() == b.assignment()
+        assert a.placements == b.placements
         assert a.component_c_c == b.component_c_c

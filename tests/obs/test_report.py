@@ -11,7 +11,6 @@ from repro.obs.report import (
     REPORT_JSON_SCHEMA,
     load_trace,
     render_report,
-    report_file,
     report_json,
 )
 from repro.obs.run import trace_run
@@ -62,7 +61,7 @@ class TestRenderReport:
     def test_all_sections_render(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_trace(path)
-        text = report_file(path)
+        text = render_report(load_trace(path))
         assert "run manifest" in text
         assert "seed=7" in text and "engine=fast" in text
         assert "per-phase time breakdown" in text
@@ -88,7 +87,7 @@ class TestRenderReport:
         path = tmp_path / "empty.jsonl"
         with trace_run(path):
             pass
-        text = report_file(path)
+        text = render_report(load_trace(path))
         assert "(no spans recorded)" in text
         assert "search convergence" not in text
         assert "caches" not in text

@@ -10,13 +10,9 @@ import pytest
 from repro.routing.deadlock import channel_dependency_graph, is_deadlock_free
 from repro.routing.minimal import MinimalRouting
 from repro.routing.updown import UpDownRouting
-from repro.topology.designed import (
-    binary_tree_topology,
-    four_rings_topology,
-    ring_topology,
-    torus_topology,
-)
+from repro.topology.designed import four_rings_topology, torus_topology
 from repro.topology.irregular import random_irregular_topology
+from tests.topologies import binary_tree_topology, ring_topology
 
 
 class TestUpDownDeadlockFree:

@@ -5,8 +5,10 @@ import pytest
 
 from repro.routing.base import Phase
 from repro.routing.minimal import MinimalRouting
-from repro.topology.designed import mesh_topology, ring_topology
+from repro.topology.designed import mesh_topology
 from repro.topology.graph import Topology
+from tests.routing.paths import shortest_path, support_links
+from tests.topologies import ring_topology
 
 
 class TestDistances:
@@ -38,7 +40,7 @@ class TestNextHops:
     def test_shortest_path_length(self, topo16):
         r = MinimalRouting(topo16)
         d = r.distances()
-        path = r.shortest_path(0, 9)
+        path = shortest_path(r, 0, 9)
         assert len(path) - 1 == d[0, 9]
 
 
@@ -47,18 +49,18 @@ class TestLinksOnShortestPaths:
         t = ring_topology(6)
         r = MinimalRouting(t)
         # Nodes 0 and 3 are antipodal: both 3-hop arcs are minimal.
-        links = r.links_on_shortest_paths(0, 3)
+        links = support_links(r, 0, 3)
         assert links == frozenset(t.links)
 
     def test_ring_one_arc_for_neighbors(self):
         t = ring_topology(6)
         r = MinimalRouting(t)
-        assert r.links_on_shortest_paths(0, 1) == frozenset({(0, 1)})
+        assert support_links(r, 0, 1) == frozenset({(0, 1)})
 
     def test_mesh_rectangle(self):
         t = mesh_topology(2, 2)
         r = MinimalRouting(t)
-        links = r.links_on_shortest_paths(0, 3)
+        links = support_links(r, 0, 3)
         assert links == frozenset(t.links)
 
     def test_subset_of_updown_distances(self, topo16, routing16):

@@ -7,6 +7,7 @@ from repro.routing.base import Phase
 from repro.routing.minimal import MinimalRouting
 from repro.routing.updown import UpDownRouting
 from repro.topology.irregular import random_irregular_topology
+from tests.routing.paths import support_links
 
 
 @st.composite
@@ -74,8 +75,8 @@ def test_link_support_symmetry_and_validity(net):
         i, j = rng.integers(0, n, size=2)
         if i == j:
             continue
-        links = r.links_on_shortest_paths(int(i), int(j))
-        assert links == r.links_on_shortest_paths(int(j), int(i))
+        links = support_links(r, int(i), int(j))
+        assert links == support_links(r, int(j), int(i))
         for u, v in links:
             assert topo.has_link(u, v)
 

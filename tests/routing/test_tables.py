@@ -2,7 +2,7 @@
 
 from repro.routing.base import Phase
 from repro.routing.minimal import MinimalRouting
-from repro.routing.tables import RoutingTable, build_routing_table
+from repro.routing.tables import RoutingTable
 
 
 class TestRoutingTable:
@@ -15,14 +15,14 @@ class TestRoutingTable:
                         routing16.next_hops(src, phase, dst)
 
     def test_path_length(self, routing16):
+        # Following the table's first hop reaches 5 in d[0, 5] hops.
         table = RoutingTable(routing16)
         d = routing16.distances()
-        assert table.path_length(0, 5) == d[0, 5]
-
-    def test_builder_function(self, routing16):
-        t = build_routing_table(routing16)
-        assert isinstance(t, RoutingTable)
-        assert t.routing is routing16
+        current, phase, hops = 0, routing16.initial_phase(), 0
+        while current != 5:
+            current, phase = table.hops(current, phase, 5)[0]
+            hops += 1
+        assert hops == d[0, 5]
 
     def test_minimal_routing_table(self, topo16):
         r = MinimalRouting(topo16)

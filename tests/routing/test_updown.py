@@ -5,9 +5,10 @@ import pytest
 
 from repro.routing.base import Phase
 from repro.routing.updown import UpDownRouting, bfs_levels, choose_root
-from repro.topology.designed import ring_topology, star_topology
 from repro.topology.graph import Topology
 from repro.topology.irregular import random_irregular_topology
+from tests.routing.paths import shortest_path, support_links
+from tests.topologies import binary_tree_topology, ring_topology, star_topology
 
 
 class TestLevelsAndRoot:
@@ -59,10 +60,11 @@ class TestOrientation:
             routing16.is_up(u, v)
 
     def test_up_end(self):
+        # The up end of every link of a star is its root, the hub.
         t = star_topology(3)
         r = UpDownRouting(t, root=0)
-        assert r.up_end(1, 0) == 0
-        assert r.up_end(0, 2) == 0
+        assert r.is_up(1, 0) and r.is_up(2, 0)
+        assert not r.is_up(0, 2)
 
 
 class TestDistances:
@@ -100,8 +102,6 @@ class TestDistances:
 
     def test_tree_equals_hop_distance(self):
         # On a tree every path is the unique minimal path and always legal.
-        from repro.topology.designed import binary_tree_topology
-
         t = binary_tree_topology(4)
         r = UpDownRouting(t, root=0)
         assert (r.distances() == t.hop_distances()).all()
@@ -139,7 +139,7 @@ class TestNextHops:
             for dst in range(0, 16, 5):
                 if src == dst:
                     continue
-                path = routing16.shortest_path(src, dst)
+                path = shortest_path(routing16, src, dst)
                 assert path[0] == src and path[-1] == dst
                 assert len(path) - 1 == d[src, dst]
                 for a, b in zip(path, path[1:]):
@@ -150,7 +150,7 @@ class TestNextHops:
             for dst in range(1, 16, 3):
                 if src == dst:
                     continue
-                path = routing16.shortest_path(src, dst)
+                path = shortest_path(routing16, src, dst)
                 seen_down = False
                 for a, b in zip(path, path[1:]):
                     if routing16.is_up(a, b):
@@ -161,7 +161,7 @@ class TestNextHops:
 
 class TestLinksOnShortestPaths:
     def test_empty_for_same_node(self, routing16):
-        assert routing16.links_on_shortest_paths(4, 4) == frozenset()
+        assert support_links(routing16, 4, 4) == frozenset()
 
     def test_symmetric(self, routing16):
         # Up*/down* legality is direction-symmetric (reverse of a legal
@@ -170,22 +170,22 @@ class TestLinksOnShortestPaths:
             for j in range(0, 16, 4):
                 if i == j:
                     continue
-                assert routing16.links_on_shortest_paths(i, j) == \
-                    routing16.links_on_shortest_paths(j, i)
+                assert support_links(routing16, i, j) == \
+                    support_links(routing16, j, i)
 
     def test_contains_some_path(self, topo16, routing16):
         for i in range(0, 16, 5):
             for j in range(1, 16, 3):
                 if i == j:
                     continue
-                links = routing16.links_on_shortest_paths(i, j)
-                path = routing16.shortest_path(i, j)
+                links = support_links(routing16, i, j)
+                path = shortest_path(routing16, i, j)
                 for a, b in zip(path, path[1:]):
                     key = (a, b) if a < b else (b, a)
                     assert key in links
 
     def test_all_links_are_real(self, topo16, routing16):
-        links = routing16.links_on_shortest_paths(0, 9)
+        links = support_links(routing16, 0, 9)
         for u, v in links:
             assert topo16.has_link(u, v)
 
@@ -193,7 +193,7 @@ class TestLinksOnShortestPaths:
         # On a path graph the support is exactly the path's links.
         t = Topology(4, [(0, 1), (1, 2), (2, 3)])
         r = UpDownRouting(t, root=0)
-        assert r.links_on_shortest_paths(0, 3) == frozenset(
+        assert support_links(r, 0, 3) == frozenset(
             {(0, 1), (1, 2), (2, 3)}
         )
 

@@ -55,8 +55,10 @@ class TestRandomProcessMapping:
         m = random_process_mapping(uneven_workload, topo16, seed=0)
         m.validate()
         # Switch purity generally violated (that's the point).
-        with pytest.raises(ValueError):
-            m.induced_partition()
+        owners = {}
+        for (ci, _pi), h in m.host_of.items():
+            owners.setdefault(topo16.host_switch(h), set()).add(ci)
+        assert any(len(c) > 1 for c in owners.values())
 
     def test_overflow_rejected(self, topo16):
         w = Workload([LogicalCluster("big", 65)])
@@ -74,7 +76,6 @@ class TestOptimizer:
         opt = ProcessMappingOptimizer(table16, uneven_workload, topo16)
         res = opt.optimize(seed=0, restarts=2)
         assert res.cost < res.initial_cost
-        assert res.improvement > 0
 
     def test_cost_consistency(self, topo16, table16, uneven_workload):
         opt = ProcessMappingOptimizer(table16, uneven_workload, topo16)

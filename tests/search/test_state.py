@@ -80,25 +80,25 @@ class TestState:
 
     def test_best_swap_is_minimal(self, objective):
         state = objective.random_state(seed=5)
-        pair, delta = state.best_swap()
+        pair, delta, _ = state.best_swaps()
         assert pair is not None
         deltas = [state.swap_delta(a, b) for a, b in state.candidate_swaps()]
         assert delta == pytest.approx(min(deltas))
 
     def test_best_swap_respects_forbidden(self, objective):
         state = objective.random_state(seed=6)
-        pair, _ = state.best_swap()
+        pair, _, _ = state.best_swaps()
         forbidden = {pair}
-        pair2, _ = state.best_swap(forbidden, aspiration_below=float("-inf"))
+        pair2, _, _ = state.best_swaps(forbidden, aspiration_below=float("-inf"))
         assert pair2 != pair
 
     def test_aspiration_overrides_tabu(self, objective):
         state = objective.random_state(seed=7)
-        pair, delta = state.best_swap()
+        pair, delta, _ = state.best_swaps()
         assert delta < 0  # random start: improving swaps exist
         # With aspiration below current+delta+margin the tabu is overridden.
         target = state.value() + delta + 1e-9
-        pair2, delta2 = state.best_swap({pair}, aspiration_below=target)
+        pair2, delta2, _ = state.best_swaps({pair}, aspiration_below=target)
         assert pair2 == pair
 
     def test_copy_independent(self, objective):

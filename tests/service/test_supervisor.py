@@ -49,14 +49,14 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
         assert breaker.reject_after() is None
-        assert breaker.trips == 0
+        assert breaker.status()["trips"] == 0
 
     def test_opens_at_the_threshold_with_a_retry_hint(self):
         breaker, _ = make_breaker(threshold=3, reset=2.0)
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.trips == 1
+        assert breaker.status()["trips"] == 1
         hint = breaker.reject_after()
         assert hint is not None and 0 < hint <= 2.0
 

@@ -22,7 +22,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"message_length": 0},
         {"buffer_flits": 0},
-        {"delivery_channels": 0},
+        {"virtual_channels": 0},
         {"warmup_cycles": -1},
         {"measure_cycles": 0},
         {"queue_capacity": 0},

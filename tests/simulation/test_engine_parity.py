@@ -42,8 +42,8 @@ from repro.simulation.engine import canonical_payload, make_simulator
 from repro.simulation.engine_fast import FastWormholeNetworkSimulator
 from repro.simulation.network import WormholeNetworkSimulator
 from repro.simulation.traffic import IntraClusterTraffic, UniformTraffic
-from repro.topology.designed import ring_topology
 from repro.topology.irregular import random_irregular_topology
+from tests.topologies import ring_topology
 
 ENGINES = ("reference", "fast")
 

@@ -41,11 +41,6 @@ class TestSaturationFlag:
 
 
 class TestSummary:
-    def test_summary_row_keys(self):
-        row = make_result(1.0, 0.9).summary_row()
-        assert set(row) == {"offered", "accepted", "latency", "completed",
-                            "saturated"}
-
     def test_repr(self):
         out = repr(make_result(1.0, 0.9))
         assert "offered=1.0000" in out and "accepted=0.9000" in out

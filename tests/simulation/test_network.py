@@ -10,8 +10,8 @@ from repro.routing.updown import UpDownRouting
 from repro.simulation.config import SimulationConfig
 from repro.simulation.network import WormholeNetworkSimulator
 from repro.simulation.traffic import IntraClusterTraffic, UniformTraffic
-from repro.topology.designed import ring_topology
 from repro.topology.graph import Topology
+from tests.topologies import ring_topology
 
 
 def two_switch_table():
@@ -209,8 +209,7 @@ class TestInvariants:
             if not sim.active:
                 break
         assert not sim.active, "network failed to drain (possible deadlock)"
-        dc = cfg.delivery_channels or topo16.hosts_per_switch
-        assert all(a == dc for a in sim.avail_delivery)
+        assert all(a == topo16.hosts_per_switch for a in sim.avail_delivery)
         assert all(o is None for o in sim.owner)
 
     def test_queue_capacity_bounds_memory(self, rtable16, topo16, workload16):

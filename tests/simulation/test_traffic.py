@@ -12,7 +12,6 @@ from repro.core.mapping import (
     random_partition,
 )
 from repro.simulation.traffic import (
-    HotspotTraffic,
     IntraClusterTraffic,
     UniformTraffic,
 )
@@ -113,24 +112,3 @@ class TestIntraCluster:
         with pytest.raises(ValueError, match="single host"):
             IntraClusterTraffic(mapping2)
 
-
-class TestHotspot:
-    def test_hotspot_bias(self, topo16):
-        t = HotspotTraffic(topo16, hotspots=[5], hotspot_fraction=0.5)
-        rng = random.Random(5)
-        counts = Counter(t.dest_for(0, rng) for _ in range(4000))
-        assert counts[5] / 4000 > 0.4
-
-    def test_hotspot_never_self(self, topo16):
-        t = HotspotTraffic(topo16, hotspots=[0], hotspot_fraction=1.0)
-        rng = random.Random(6)
-        for _ in range(100):
-            assert t.dest_for(0, rng) != 0
-
-    def test_validation(self, topo16):
-        with pytest.raises(ValueError):
-            HotspotTraffic(topo16, hotspots=[])
-        with pytest.raises(ValueError):
-            HotspotTraffic(topo16, hotspots=[10_000])
-        with pytest.raises(ValueError):
-            HotspotTraffic(topo16, hotspots=[0], hotspot_fraction=2.0)

@@ -16,7 +16,7 @@ from repro.search.tabu import TabuSearch
 from repro.simulation.config import SimulationConfig
 from repro.simulation.network import WormholeNetworkSimulator
 from repro.simulation.traffic import IntraClusterTraffic
-from repro.topology.designed import clustered_random_topology
+from repro.topology.designed import four_rings_topology
 from repro.topology.irregular import random_irregular_topology
 
 QUICK = SimulationConfig(warmup_cycles=200, measure_cycles=800, seed=11)
@@ -65,14 +65,11 @@ class TestEndToEnd:
 
     def test_planted_clusters_recovered_end_to_end(self):
         """On a topology with planted structure, Tabu finds the plant."""
-        topo = clustered_random_topology(4, 4, seed=5)
+        topo = four_rings_topology()
         sched = CommunicationAwareScheduler(topo)
-        res = sched.schedule(Workload.uniform(4, 16), seed=0)
-        planted = [tuple(range(4 * c, 4 * c + 4)) for c in range(4)]
-        found = set(res.partition.clusters())
-        # At least 3 of 4 planted clusters recovered exactly (the search may
-        # trade two switches if the random chords make that optimal).
-        assert len(found & set(planted)) >= 3
+        res = sched.schedule(Workload.uniform(4, 24), seed=0)
+        planted = [tuple(range(6 * c, 6 * c + 6)) for c in range(4)]
+        assert set(res.partition.clusters()) == set(planted)
 
     def test_hop_table_ablation_is_weaker_or_equal(self):
         """Using hop counts instead of equivalent distances never improves

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import time
+import warnings
 
 import pytest
 
@@ -48,6 +49,15 @@ def _crash_worker_on(job):
 def _slow_square(x):
     time.sleep(1.5)
     return x * x
+
+
+def _mark_pid_then_fail_on_zero(job):
+    """Record which process ran the job, then raise for job 0."""
+    x, marker_dir = job
+    open(os.path.join(marker_dir, f"{x}-{os.getpid()}"), "w").close()
+    if x == 0:
+        raise FileNotFoundError(f"job {x} reads a missing file")
+    return x
 
 
 def _fail_or_sleep(x):
@@ -129,6 +139,18 @@ class TestParallelMap:
             parallel_map(_fail_or_sleep, [-1, 1], workers=2)
         after = {p.pid for p in multiprocessing.active_children()}
         assert after == before
+
+    def test_pooled_job_oserror_is_not_pool_death(self, tmp_path):
+        # A job's own OSError is a job failure: it propagates unchanged,
+        # with no fallback warning and no serial re-run in the parent.
+        jobs = [(x, str(tmp_path)) for x in range(3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FileNotFoundError, match="job 0"):
+                parallel_map(_mark_pid_then_fail_on_zero, jobs, workers=2)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        ran_in = {int(name.split("-")[1]) for name in os.listdir(tmp_path)}
+        assert os.getpid() not in ran_in
 
 
 class TestPartialRecovery:

@@ -1,8 +1,97 @@
-"""The documented public API must exist and compose as advertised."""
+"""The documented public API must exist, compose as advertised, and be used."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Trees whose code counts as reaching a definition: the library itself,
+#: the benchmark harnesses and the examples.  Tests do not count.
+REACHING_TREES = ("src", "bench", "benchmarks", "examples")
+
+#: Public definitions that nothing in ``REACHING_TREES`` names, kept on
+#: purpose.  One line of reason each; delete the entry with the code.
+UNREACHED_ALLOWLIST = {
+    "repro.routing.minimal.MinimalRouting":
+        "second routing of the table oracle: supports up*/down* never yields",
+    "repro.distance.resistance.equivalent_resistance":
+        "batch-of-one oracle for the stacked resistance solve",
+    "repro.obs.export.validate_exposition":
+        "run inline by the CI metrics-exposition step",
+    "repro.simulation.equivalence.check_rank_preservation":
+        "leaves with the vector engine in the next benchmark change",
+    "repro.faults.degrade.DegradedNetwork.verify":
+        "deadlock-freedom safety check of a reconfigured routing",
+    "repro.core.mapping.Partition.with_swap":
+        "oracle the incremental swap state is checked against",
+    "repro.search.state.PartitionState.recompute":
+        "from-scratch rebuild the incremental state is checked against",
+    "repro.topology.graph.Topology.relabeled":
+        "relabeling for the equivariance property tests",
+    "repro.core.quality.weighted_mapping_cost":
+        "cost oracle for the process-level optimizer",
+    "repro.experiments.failures.FaultStudyResult.deterministic_payload":
+        "bit-identity comparator of the checkpoint/resume tests",
+    "repro.reporting.study.VariationStudyResult.deterministic_payload":
+        "bit-identity comparator of the checkpoint/resume tests",
+    "repro.obs.sinks.MemorySink.by_type":
+        "query helper of the in-memory sink that bench/ records into",
+    "repro.obs.sinks.MemorySink.by_name":
+        "query helper of the in-memory sink that bench/ records into",
+}
+
+
+def _used_names():
+    """Every identifier and attribute name the reaching trees mention.
+
+    Import aliases, ``__all__`` strings and docstrings are not uses: a
+    name only counts where code loads, calls or subclasses it.
+    """
+    used = set()
+    for tree in REACHING_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def _public_definitions():
+    """``(qualified name, name)`` of every public module-level function or
+    class under ``src/repro`` and every public method of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    src = ROOT / "src"
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, defs[:2])
+                            and not item.name.startswith("_")):
+                        yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_is_reached():
+    used = _used_names()
+    unreached = {qual for qual, name in _public_definitions()
+                 if name not in used}
+    unexpected = sorted(unreached - set(UNREACHED_ALLOWLIST))
+    assert not unexpected, (
+        "public definitions that only tests reach (delete them, move test "
+        f"helpers into tests/, or allowlist them with a reason): {unexpected}"
+    )
+    stale = sorted(set(UNREACHED_ALLOWLIST) - unreached)
+    assert not stale, f"allowlist entries that are reached or gone: {stale}"
 
 
 class TestPublicSurface:

@@ -1,19 +1,25 @@
-"""Tests for designed/regular topology constructors."""
+"""Tests for the designed/regular topology constructors.
+
+The ring, complete, star and binary-tree builders live in
+``tests/topologies.py`` as fixtures; they are checked here beside the
+package's own constructors.
+"""
 
 import pytest
 
 from repro.topology.designed import (
-    binary_tree_topology,
-    clustered_random_topology,
-    complete_topology,
     four_rings_topology,
     hypercube_topology,
     mesh_topology,
-    ring_topology,
-    star_topology,
     torus_topology,
 )
-from repro.topology.validate import validate_topology
+from tests.topologies import (
+    binary_tree_topology,
+    complete_topology,
+    ring_topology,
+    star_topology,
+    validate_topology,
+)
 
 
 class TestFourRings:
@@ -115,27 +121,3 @@ class TestRegularTopologies:
         with pytest.raises(ValueError):
             builder(*args)
 
-
-class TestClusteredRandom:
-    def test_shape_and_connectivity(self):
-        t = clustered_random_topology(4, 4, seed=1)
-        assert t.num_switches == 16
-        validate_topology(t)
-
-    def test_reproducible(self):
-        a = clustered_random_topology(3, 5, seed=9)
-        b = clustered_random_topology(3, 5, seed=9)
-        assert a.links == b.links
-
-    def test_planted_rings_present(self):
-        t = clustered_random_topology(3, 4, seed=2)
-        for c in range(3):
-            base = 4 * c
-            for k in range(4):
-                assert t.has_link(base + k, base + (k + 1) % 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clustered_random_topology(1, 4)
-        with pytest.raises(ValueError):
-            clustered_random_topology(3, 2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.topology.irregular import random_irregular_topology
-from repro.topology.validate import check_paper_constraints, validate_topology
+from tests.topologies import check_paper_constraints, validate_topology
 
 
 class TestGenerator:

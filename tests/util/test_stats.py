@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import RunningStats, pearson, spearman, summarize
+from repro.util.stats import RunningStats, pearson, summarize
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -48,18 +48,6 @@ class TestPearson:
         assert math.isnan(r) or -1.0000001 <= r <= 1.0000001
 
 
-class TestSpearman:
-    def test_monotone_is_one(self):
-        assert spearman([1, 2, 3, 4], [1, 4, 9, 16]) == pytest.approx(1.0)
-
-    def test_reversed_is_minus_one(self):
-        assert spearman([1, 2, 3, 4], [8, 4, 2, 1]) == pytest.approx(-1.0)
-
-    def test_ties_handled(self):
-        r = spearman([1, 1, 2, 3], [1, 1, 2, 3])
-        assert r == pytest.approx(1.0)
-
-
 class TestSummarize:
     def test_empty(self):
         s = summarize([])
@@ -92,30 +80,6 @@ class TestRunningStats:
         assert rs.std == pytest.approx(xs.std(ddof=1))
         assert rs.min == pytest.approx(xs.min())
         assert rs.max == pytest.approx(xs.max())
-
-    def test_merge_equals_combined(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=37)
-        b = rng.normal(size=53)
-        ra, rb, rc = RunningStats(), RunningStats(), RunningStats()
-        for x in a:
-            ra.add(float(x))
-            rc.add(float(x))
-        for x in b:
-            rb.add(float(x))
-            rc.add(float(x))
-        ra.merge(rb)
-        assert ra.count == rc.count
-        assert ra.mean == pytest.approx(rc.mean)
-        assert ra.variance == pytest.approx(rc.variance)
-
-    def test_merge_with_empty(self):
-        ra, rb = RunningStats(), RunningStats()
-        ra.add(1.0)
-        ra.merge(rb)
-        assert ra.count == 1
-        rb.merge(ra)
-        assert rb.count == 1 and rb.mean == 1.0
 
     @given(st.lists(finite_floats, min_size=2, max_size=50))
     def test_variance_non_negative(self, xs):

@@ -5,11 +5,9 @@ import pytest
 
 from repro.util.validation import (
     check_in_range,
-    check_non_negative,
     check_positive,
     check_probability,
     check_square_matrix,
-    check_symmetric,
 )
 
 
@@ -20,13 +18,6 @@ class TestScalarChecks:
     def test_positive_rejects_zero(self):
         with pytest.raises(ValueError, match="x"):
             check_positive(0, "x")
-
-    def test_non_negative_ok(self):
-        check_non_negative(0, "x")
-
-    def test_non_negative_rejects(self):
-        with pytest.raises(ValueError):
-            check_non_negative(-1e-9, "x")
 
     def test_in_range(self):
         check_in_range(5, "x", 0, 10)
@@ -56,14 +47,3 @@ class TestMatrixChecks:
     def test_square_rejects_1d(self):
         with pytest.raises(ValueError):
             check_square_matrix([1, 2, 3], "m")
-
-    def test_symmetric_ok(self):
-        check_symmetric([[0, 1], [1, 0]], "m")
-
-    def test_symmetric_rejects(self):
-        with pytest.raises(ValueError):
-            check_symmetric([[0, 1], [2, 0]], "m")
-
-    def test_symmetric_atol(self):
-        m = [[0, 1.0], [1.0 + 1e-12, 0]]
-        check_symmetric(m, "m", atol=1e-9)
