@@ -57,8 +57,8 @@ def _canon(payload):
 
 def _recovery_phase():
     """Baseline latency, then KILLS rounds of kill-all-workers -> submit."""
-    config = ServiceConfig(port=0, workers=WORKERS, batch_window=0.01,
-                           max_redispatch=2, request_deadline=60.0)
+    config = ServiceConfig(port=0, workers=WORKERS, max_redispatch=2,
+                           request_deadline=60.0)
     baseline, recovery, restarts = [], [], 0
     requests = _requests(2 + 2 * KILLS, base_seed=500)
     with running_service(config) as service:
@@ -97,7 +97,7 @@ def _degraded_phase(tmp_dir):
     executor = ChaoticExecutor(crash_at(*range(1, 200)),
                                str(Path(tmp_dir) / "latch"), once=False)
     config = ServiceConfig(
-        port=0, workers=WORKERS, batch_window=0.01, executor=executor,
+        port=0, workers=WORKERS, executor=executor,
         max_redispatch=0, request_deadline=60.0,
         breaker=BreakerConfig(failure_threshold=1, reset_timeout=120.0))
     trip_request = _requests(1, base_seed=900)[0]
@@ -109,7 +109,7 @@ def _degraded_phase(tmp_dir):
     with running_service(config) as service:
         host, port = service.address
         with ServiceClient(host, port, timeout=300.0) as client:
-            # One doomed submit crashes the batch and opens the breaker.
+            # One doomed submit crashes its job and opens the breaker.
             try:
                 client.submit(trip_request)
             except ServiceError as exc:

@@ -3,7 +3,7 @@
 The adversary the service tier is hardened against.  Three modules:
 
 - :mod:`~repro.chaos.plan` — seeded fault plans: executor plans keyed on
-  batch sequence numbers, and the frame mutator for the malformed-input
+  job sequence numbers, and the frame mutator for the malformed-input
   flood;
 - :mod:`~repro.chaos.inject` — the injectors: a picklable
   :class:`ChaoticExecutor` that crashes/hangs/errors inside worker

@@ -6,7 +6,7 @@ each request got back:
 
 - ``reply`` — an ``ok`` envelope whose canonical payload is
   **byte-identical** to the fault-free result (computed independently in
-  this process via :func:`repro.service.batch.execute_request`);
+  this process via :func:`repro.service.execute_request`);
 - ``typed-error`` — an error envelope whose ``code`` is in
   :data:`repro.service.protocol.ERROR_CODES`;
 - anything else — a hang past the scenario's bound, an untyped error, a
@@ -16,7 +16,7 @@ each request got back:
 The invariant, stated once: *every accepted request terminates with a
 byte-identical correct reply or an explicit typed error — never a hang,
 never silent loss.*  Scenarios are deterministic given their seed (fault
-plans are seeded, injection points are keyed on batch sequence numbers
+plans are seeded, injection points are keyed on job sequence numbers
 and frame indices), so a CI failure replays locally with the same seed.
 """
 
@@ -151,9 +151,9 @@ def _classify_reply(request: ScheduleRequest,
 
 
 def _config(workdir: Path, **overrides: Any) -> ServiceConfig:
-    """A chaos-friendly service config (ephemeral port, small batches)."""
+    """A chaos-friendly service config (ephemeral port, 20 s deadline)."""
     defaults: Dict[str, Any] = dict(
-        port=0, workers=2, max_batch=8,
+        port=0, workers=2,
         request_deadline=20.0, max_redispatch=2,
         breaker=BreakerConfig(failure_threshold=8, reset_timeout=2.0),
     )
@@ -166,7 +166,7 @@ def _config(workdir: Path, **overrides: Any) -> ServiceConfig:
 # --------------------------------------------------------------------- #
 
 def scenario_worker_crash(seed: int, workdir: Path) -> ScenarioResult:
-    """A worker dies mid-batch; the batch must be re-dispatched and served."""
+    """A worker dies mid-job; the job must be re-dispatched and served."""
     executor = ChaoticExecutor(crash_at(1), str(workdir / "latch"))
     config = _config(workdir, executor=executor)
     outcomes: List[RequestOutcome] = []
@@ -360,7 +360,7 @@ def scenario_store_corruption(seed: int, workdir: Path) -> ScenarioResult:
 
 
 def scenario_pool_death(seed: int, workdir: Path) -> ScenarioResult:
-    """Every worker is SIGKILLed mid-batch; the batch must still be served."""
+    """Every worker is SIGKILLed mid-job; the job must still be served."""
     executor = ChaoticExecutor(slow_at(1, delay=2.0), str(workdir / "latch"))
     config = _config(workdir, executor=executor)
     outcomes: List[RequestOutcome] = []
@@ -377,7 +377,7 @@ def scenario_pool_death(seed: int, workdir: Path) -> ScenarioResult:
 
         thread = threading.Thread(target=_submit, daemon=True)
         thread.start()
-        # Give the slow batch time to reach the worker, then murder it.
+        # Give the slow job time to reach the worker, then murder it.
         deadline = time.monotonic() + 10.0
         while killed == 0 and time.monotonic() < deadline:
             time.sleep(0.25)
@@ -402,11 +402,12 @@ def scenario_wal_replay(seed: int, workdir: Path) -> ScenarioResult:
     """Accepted-but-unreplied work survives a daemon death via the journal."""
     wal_path = workdir / "service.wal"
     requests = _requests(3, seed=seed)
-    # Incarnation 1: a huge batch window parks accepted jobs unexecuted;
-    # exiting the context kills the daemon with them pending — exactly a
-    # crash after acceptance, since no done records were written.
-    config1 = _config(workdir, wal_path=wal_path, batch_window=60.0,
-                      max_batch=16)
+    # Incarnation 1: every accepted job hangs in its worker; exiting the
+    # context kills the daemon and its workers with them pending — exactly
+    # a crash after acceptance, since no done records were written.
+    executor = ChaoticExecutor(hang_at(1, 2, 3, delay=REQUEST_BOUND_SECONDS),
+                               str(workdir / "latch"))
+    config1 = _config(workdir, wal_path=wal_path, executor=executor)
     accepted: List[str] = []
     with running_service(config1) as service:
         host, port = service.address

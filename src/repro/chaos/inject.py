@@ -2,17 +2,17 @@
 
 Three injection points, one per layer of the service stack:
 
-- :class:`ChaoticExecutor` replaces the daemon's batch executor
+- :class:`ChaoticExecutor` replaces the daemon's job executor
   (``ServiceConfig.executor``) and misbehaves *inside the worker
   process* according to a :mod:`repro.chaos.plan` — crash (``os._exit``),
   hang, raise, or run slow — before delegating to the real
-  :func:`repro.service.batch.execute_batch`.  It is picklable (it
+  :func:`repro.service.execute_request`.  It is picklable (it
   crosses the pool boundary) and uses **file-based once-latches** so a
-  fault keyed to batch *N* fires exactly once even though the re-dispatch
-  of batch *N* runs in a *different, fresh* worker process that shares no
+  fault keyed to job *N* fires exactly once even though the re-dispatch
+  of job *N* runs in a *different, fresh* worker process that shares no
   memory with the crashed one.
 - :func:`kill_workers` SIGKILLs a pool's live worker processes from the
-  outside — the "node loss mid-batch" fault no in-process injector can
+  outside — the "node loss mid-job" fault no in-process injector can
   fake.
 - :class:`ChaosProxy` sits between a client and the daemon as a real TCP
   proxy and mangles *reply* frames per a seeded wire plan: tear (partial
@@ -33,12 +33,12 @@ import signal
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.chaos.plan import FaultAction
 from repro.obs import trace as _trace
 from repro.parallel import WorkerPool
-from repro.service.batch import execute_batch
+from repro.service.batch import execute_request
 from repro.service.store import ResultStore
 
 #: Exit code a chaos-crashed worker dies with (distinguishable from
@@ -47,15 +47,15 @@ CRASH_EXIT_CODE = 13
 
 
 class ChaoticExecutor:
-    """A picklable batch executor that injects planned faults.
+    """A picklable job executor that injects planned faults.
 
-    Drop-in for ``ServiceConfig.executor``: called as ``(seq, payloads)``
-    with the daemon's batch sequence number.  When ``plan``
+    Drop-in for ``ServiceConfig.executor``: called as ``(seq, payload)``
+    with the daemon's job sequence number.  When ``plan``
     holds an action for ``seq`` — and its once-latch (a file created
     ``O_CREAT | O_EXCL`` under ``latch_dir``) is won — the action fires
     *in the worker process*:
 
-    - ``crash`` — ``os._exit(13)``: the process dies mid-batch, the pool
+    - ``crash`` — ``os._exit(13)``: the process dies mid-job, the pool
       breaks, the supervisor must restart and re-dispatch;
     - ``hang`` — sleep ``delay`` seconds (set it beyond the service
       deadline to simulate a wedged worker);
@@ -63,7 +63,7 @@ class ChaoticExecutor:
     - ``slow`` — sleep ``delay`` then execute normally.
 
     The latch is what makes ``crash`` testable at all: the re-dispatched
-    batch carries the *same* sequence number, runs in a fresh process,
+    job carries the *same* sequence number, runs in a fresh process,
     finds the latch file already claimed, and executes cleanly.  With
     ``once=False`` the latch is skipped and the fault fires on every
     attempt — the crash-loop fuel for circuit-breaker scenarios.
@@ -88,9 +88,8 @@ class ChaoticExecutor:
         os.close(fd)
         return True
 
-    def __call__(self, seq: int,
-                 payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Run one batch, injecting the planned fault for ``seq`` first."""
+    def __call__(self, seq: int, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one job, injecting the planned fault for ``seq`` first."""
         action = self.plan.get(int(seq))
         if action is not None and self._claim(seq):
             if action.kind == "crash":
@@ -99,19 +98,19 @@ class ChaoticExecutor:
                 time.sleep(action.delay)
             elif action.kind == "error":
                 raise RuntimeError(
-                    f"chaos: injected worker error on batch {seq}")
+                    f"chaos: injected worker error on job {seq}")
             elif action.kind == "slow":
                 time.sleep(action.delay)
-        return execute_batch(payloads)
+        return execute_request(payload)
 
 
 def kill_workers(pool: WorkerPool, *, sig: int = signal.SIGKILL) -> int:
     """SIGKILL a pool's live worker processes; returns how many died.
 
     The external node-loss fault: unlike :class:`ChaoticExecutor`'s
-    ``crash`` (which a worker does to itself at a planned batch), this
+    ``crash`` (which a worker does to itself at a planned job), this
     murders every worker from outside at an arbitrary moment — in-flight
-    batches break, and the supervisor must restart and re-dispatch.
+    jobs break, and the supervisor must restart and re-dispatch.
     """
     executor = getattr(pool, "_executor", None)
     if executor is None:

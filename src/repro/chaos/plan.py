@@ -2,11 +2,11 @@
 
 A chaos run must be *reproducible*: the same seed injects the same faults
 at the same points, so a failure found in CI replays exactly on a
-laptop.  Executor plans are ``{batch sequence number: FaultAction}``
-maps consumed by :class:`repro.chaos.inject.ChaoticExecutor` inside
-worker processes.  Keying on the daemon's batch sequence number (not wall
-time, not PID) is what makes injection deterministic: batch #2 crashes no
-matter which worker runs it or when.  :func:`mutate_frame` damages wire
+laptop.  Executor plans are ``{job sequence number: FaultAction}`` maps
+consumed by :class:`repro.chaos.inject.ChaoticExecutor` inside worker
+processes.  Keying on the daemon's job sequence number (not wall time,
+not PID) is what makes injection deterministic: job #2 crashes no matter
+which worker runs it or when.  :func:`mutate_frame` damages wire
 frames for the malformed-input flood, again as a pure function of its seed.
 """
 
@@ -37,18 +37,18 @@ class FaultAction:
 
 
 def crash_at(*seqs: int) -> Dict[int, FaultAction]:
-    """A plan that kills the worker process on the given batch numbers."""
+    """A plan that kills the worker process on the given job numbers."""
     return {int(s): FaultAction("crash") for s in seqs}
 
 
-def hang_at(seq: int, *, delay: float = 30.0) -> Dict[int, FaultAction]:
-    """A plan that wedges the given batch for ``delay`` seconds."""
-    return {int(seq): FaultAction("hang", delay=delay)}
+def hang_at(*seqs: int, delay: float = 30.0) -> Dict[int, FaultAction]:
+    """A plan that wedges the given jobs for ``delay`` seconds each."""
+    return {int(s): FaultAction("hang", delay=delay) for s in seqs}
 
 
-def slow_at(seq: int, *, delay: float = 0.2) -> Dict[int, FaultAction]:
-    """A plan that delays (but completes) the given batch."""
-    return {int(seq): FaultAction("slow", delay=delay)}
+def slow_at(*seqs: int, delay: float = 0.2) -> Dict[int, FaultAction]:
+    """A plan that delays (but completes) the given jobs."""
+    return {int(s): FaultAction("slow", delay=delay) for s in seqs}
 
 
 def mutate_frame(raw: bytes, seed: int, index: int) -> bytes:

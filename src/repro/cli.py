@@ -16,7 +16,7 @@
   markdown / self-contained HTML — optionally serving the result on the
   HTTP operator console (``--serve``);
 - ``serve``     — run the resident scheduling service (persistent worker
-  pool, micro-batching, result store; ``--wal``/``--deadline``/
+  pool, one request per job, result store; ``--wal``/``--deadline``/
   ``--heartbeat`` enable the self-healing tier; ``--console-port``
   adds the HTTP operator console: /healthz, /metrics, /status,
   /report);
@@ -280,8 +280,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_pending=args.max_pending,
-        max_batch=args.max_batch,
-        batch_window=args.batch_window,
         store_ttl=args.store_ttl if args.store_ttl > 0 else None,
         admission=AdmissionPolicy(max_switches=args.max_switches),
         request_deadline=args.deadline if args.deadline > 0 else None,
@@ -370,9 +368,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return 0
     print(f"topology: {result['topology_name']}  method: {result['method']}  "
           f"seed: {result['seed']}")
-    print(f"served:   {served.get('from', '?')}"
-          + (f" (batch of {served['batch_size']})"
-             if served.get("batch_size", 0) > 1 else ""))
+    print(f"served:   {served.get('from', '?')}")
     degraded = result.get("degraded")
     if degraded is not None:
         print(f"degraded: scenario {degraded['scenario']} — "
@@ -432,10 +428,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     st = d["store"]
     print(f"store:            {st['size']} entries, {st['hits']} hits / "
           f"{st['misses']} misses")
-    b = d["batches"]
-    mean = f"{b['mean_size']:.2f}" if b["mean_size"] is not None else "-"
-    print(f"batches:          {b['count']} "
-          f"(mean size {mean}, max {b['max_size']})")
     p = d["pool"]
     print(f"pool:             {p['workers']} workers "
           f"({'active' if p['active'] else 'idle'})")
@@ -721,12 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending", type=int, default=64,
                    help="queued-request bound before backpressure "
                         "(default: 64)")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="micro-batch size cap (default: 16)")
-    p.add_argument("--batch-window", type=float, default=0.0,
-                   help="seconds to hold each batch open for late arrivals; "
-                        "0 dispatches the backlog as soon as a slot is free "
-                        "(default: 0)")
     p.add_argument("--store-ttl", type=float, default=300.0,
                    help="result-store TTL in seconds, 0 disables expiry "
                         "(default: 300)")
@@ -737,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "unfinished ones on the next start (crash safety)")
     p.add_argument("--deadline", type=float, default=0.0,
                    help="per-attempt worker deadline in seconds; a wedged "
-                        "batch is killed, restarted and answered with a "
+                        "job is killed, restarted and answered with a "
                         "typed error (0 disables; default: 0)")
     p.add_argument("--max-redispatch", type=int, default=2,
                    help="re-dispatches after a worker crash before the "

@@ -61,11 +61,11 @@ WorkersLike = Union[None, int, str]
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Backoff schedule for the service's retries (the client's reconnects in
-#: :mod:`repro.service.client`, the supervisor's batch re-dispatches in
+#: :mod:`repro.service.client`, the supervisor's job re-dispatches in
 #: :mod:`repro.service.supervisor`): attempt ``k`` sleeps a *full-jitter*
 #: delay drawn uniformly from ``[0, min(BACKOFF_CAP, BACKOFF_BASE * 2**k)]``
 #: seconds before re-running.  The jitter decorrelates concurrent clients
-#: and batches retrying against the same recovering pool or service, so a
+#: and jobs retrying against the same recovering pool or service, so a
 #: synchronized failure does not turn into a synchronized retry stampede;
 #: the hard cap bounds the worst-case wait no matter how large ``attempt``
 #: grows.

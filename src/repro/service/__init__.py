@@ -1,4 +1,4 @@
-"""repro.service — a batching, backpressure-aware scheduling service.
+"""repro.service — a backpressure-aware scheduling service.
 
 The resident counterpart of the one-shot CLI: an asyncio daemon that
 accepts JSON scheduling requests (topology + cluster spec + search
@@ -15,11 +15,10 @@ Layers (one module each):
   integrity digests (corruption degrades to a recompute, never a wrong
   reply);
 - :mod:`~repro.service.queue` — admission policy, backpressure,
-  priority-aware load shedding, the bounded priority queue with
-  work-conserving batch dispatch (an optional hold collects late
-  arrivals);
-- :mod:`~repro.service.batch` — batch planning by topology fingerprint
-  and the pure worker-side executor;
+  priority-aware load shedding and the bounded priority queue the
+  dispatcher pops one job at a time;
+- :mod:`~repro.service.batch` — the pure worker-side executor of one
+  request;
 - :mod:`~repro.service.supervisor` — deadlines, worker restart and
   re-dispatch, the idle-pool heartbeat and the circuit breaker that
   flips the daemon into degraded mode;
@@ -45,12 +44,7 @@ programmatically::
             reply = client.submit(request)
 """
 
-from repro.service.batch import (
-    BatchGroup,
-    execute_batch,
-    execute_request,
-    plan_batches,
-)
+from repro.service.batch import execute_request
 from repro.service.client import IDEMPOTENT_OPS, ServiceClient, ServiceError
 from repro.service.protocol import (
     ERROR_CODES,
@@ -99,7 +93,6 @@ __all__ = [
     "AdmissionError",
     "AdmissionPolicy",
     "BackpressureError",
-    "BatchGroup",
     "BreakerConfig",
     "CircuitBreaker",
     "CircuitOpenError",
@@ -134,9 +127,7 @@ __all__ = [
     "build_search",
     "decode_line",
     "encode_line",
-    "execute_batch",
     "execute_request",
-    "plan_batches",
     "run_service",
     "running_service",
 ]

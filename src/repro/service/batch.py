@@ -1,32 +1,24 @@
-"""Micro-batching: coalesce requests sharing a topology, execute batches.
+"""Worker-side execution of one service request.
 
-Two halves:
-
-- **planning** (event-loop side): :func:`plan_batches` splits a drained
-  queue batch into :class:`BatchGroup` objects — one per topology
-  fingerprint — and, within a group, folds requests with identical
-  *request* fingerprints into one computation whose result every
-  duplicate's future receives.
-- **execution** (worker side): :func:`execute_batch` is the top-level
-  picklable function the persistent pool runs.  All requests of a group
-  share one topology, so the up*/down* routing, the table of equivalent
-  distances and the simulator routing table are built once per batch and
-  then hit the worker's process-local LRU cache (:mod:`repro.distance.cache`)
-  — which stays warm *across* batches because the pool is persistent.
+:func:`execute_request` is the top-level picklable function the daemon's
+persistent pool runs, one request per call.  Requests for a topology the
+worker has seen before hit its process-local LRU cache
+(:mod:`repro.distance.cache`) for the up*/down* routing, the table of
+equivalent distances and the simulator routing table — the cache stays
+warm across requests because the pool is persistent.
 
 Determinism: :func:`execute_request` is a pure function of the request
-payload.  The solo path is literally ``execute_batch([payload])``, so a
-request's canonical response dict is byte-identical whether it was served
-alone, coalesced into a batch, or replayed from the store.
+payload, so a request's canonical response dict is byte-identical whether
+it was computed by the daemon, replayed from the store, or executed
+directly in-process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.scheduler import CommunicationAwareScheduler
-from repro.distance.cache import cached_routing_table, topology_fingerprint
+from repro.distance.cache import cached_routing_table
 from repro.faults.degrade import degrade
 from repro.faults.reschedule import schedule_degraded
 from repro.service.protocol import (
@@ -38,67 +30,6 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.sweep import make_load_points, run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
 
-if False:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.service.queue import Job
-
-
-# --------------------------------------------------------------------- #
-# planning (event-loop side)
-# --------------------------------------------------------------------- #
-
-@dataclass
-class BatchGroup:
-    """Requests sharing one topology fingerprint, deduplicated.
-
-    ``entries[i]`` is the list of jobs whose request fingerprints are
-    identical; ``entries[i][0]`` is the primary whose payload is executed
-    and every job in the list receives the result.
-    """
-
-    topology_fp: str
-    entries: List[List["Job"]] = field(default_factory=list)
-
-    @property
-    def unique(self) -> int:
-        """Distinct computations this group needs."""
-        return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        """Jobs (including coalesced duplicates) this group serves."""
-        return sum(len(e) for e in self.entries)
-
-    def payloads(self) -> List[Dict[str, Any]]:
-        """The wire payloads to execute, one per unique request."""
-        return [entry[0].payload for entry in self.entries]
-
-
-def plan_batches(jobs: List["Job"]) -> List[BatchGroup]:
-    """Group a drained queue batch by topology, dedup identical requests.
-
-    Order-preserving on first occurrence (groups appear in the order their
-    first job arrived; entries likewise), so planning is deterministic for
-    a given arrival order.
-    """
-    groups: Dict[str, BatchGroup] = {}
-    index: Dict[str, List["Job"]] = {}
-    for job in jobs:
-        topo_fp = topology_fingerprint(job.request.topology)
-        group = groups.get(topo_fp)
-        if group is None:
-            group = groups[topo_fp] = BatchGroup(topology_fp=topo_fp)
-        entry = index.get(job.fingerprint)
-        if entry is not None:
-            entry.append(job)
-            continue
-        entry = index[job.fingerprint] = [job]
-        group.entries.append(entry)
-    return list(groups.values())
-
-
-# --------------------------------------------------------------------- #
-# execution (worker side)
-# --------------------------------------------------------------------- #
 
 def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one request payload; returns the canonical response dict.
@@ -128,16 +59,6 @@ def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
         c_c=result.c_c,
         simulation=simulation,
     ).to_dict()
-
-
-def execute_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Execute a planned batch (requests sharing a topology), in order.
-
-    The first request warms the process-local distance/routing caches;
-    the rest of the batch reuses them.  Top-level and picklable — this is
-    the function the service submits to its persistent worker pool.
-    """
-    return [execute_request(p) for p in payloads]
 
 
 def _execute_degraded(req: ScheduleRequest,
@@ -209,8 +130,5 @@ def _run_simulation(scheduler: CommunicationAwareScheduler, result,
 
 
 __all__ = [
-    "BatchGroup",
-    "plan_batches",
     "execute_request",
-    "execute_batch",
 ]

@@ -6,17 +6,18 @@ message is one JSON object on one line, requests carry an ``"op"``
 reply carries ``"ok"``.  This module defines the value types exchanged —
 :class:`ScheduleRequest`, :class:`ScheduleResponse`, :class:`ServiceStatus`
 — their strict (de)serialization, the content-addressed request
-fingerprint that drives deduplication and batching, and the line framing.
+fingerprint that drives deduplication, and the line framing.
 
 Determinism contract
 --------------------
 A :class:`ScheduleResponse` contains *only* deterministic fields: the
 mapping, the quality scores, the optional degraded-mode placement and the
 optional simulated load sweep.  Wall-times, queue position and how the
-request was served ("solo", coalesced into a batch, replayed from the
-store) travel in the reply *envelope*, never in the response payload — so
-an identical request yields a byte-identical response payload no matter
-which path served it.  ``tests/service/test_server.py`` locks this down.
+request was served (computed, folded onto an identical in-flight request,
+replayed from the store) travel in the reply *envelope*, never in the
+response payload — so an identical request yields a byte-identical
+response payload no matter which path served it.
+``tests/service/test_server.py`` locks this down.
 
 Malformed payloads raise :class:`ProtocolError` (a ``ValueError``): every
 decoder validates types, ranges and key sets instead of trusting the
@@ -530,7 +531,6 @@ class ServiceStatus:
     inflight: int
     store: Dict[str, int]         # size / hits / misses / evictions / expirations
     pool: Dict[str, Any]          # workers / active
-    batches: Dict[str, Any]       # count / requests / mean_size / max_size
     supervisor: Optional[Dict[str, Any]] = None  # restarts / breaker / ...
     wal: Optional[Dict[str, Any]] = None         # path / pending / recovered
     console: Optional[Dict[str, Any]] = None     # host / port / requests
@@ -556,7 +556,6 @@ class ServiceStatus:
             "inflight": self.inflight,
             "store": dict(self.store),
             "pool": dict(self.pool),
-            "batches": dict(self.batches),
         }
         if self.supervisor is not None:
             d["supervisor"] = dict(self.supervisor)
@@ -575,11 +574,11 @@ class ServiceStatus:
             )
         required = {"type", "package_version", "uptime_seconds",
                     "requests_total", "served", "rejected", "queue_depth",
-                    "queue_capacity", "inflight", "store", "pool", "batches"}
+                    "queue_capacity", "inflight", "store", "pool"}
         _check_keys(d, required=required,
                     optional={"version", "supervisor", "wal", "console"},
                     what="service_status")
-        for key in ("served", "rejected", "store", "pool", "batches"):
+        for key in ("served", "rejected", "store", "pool"):
             _require_dict(d[key], f"service_status.{key}")
         for key in ("supervisor", "wal", "console"):
             if d.get(key) is not None:
@@ -595,7 +594,6 @@ class ServiceStatus:
             inflight=int(d["inflight"]),
             store=dict(d["store"]),
             pool=dict(d["pool"]),
-            batches=dict(d["batches"]),
             supervisor=(dict(d["supervisor"])
                         if d.get("supervisor") is not None else None),
             wal=dict(d["wal"]) if d.get("wal") is not None else None,

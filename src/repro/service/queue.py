@@ -10,13 +10,10 @@ Two failure modes are deliberately distinct:
   (the error carries a ``retry_after`` hint).
 
 The queue is a bounded max-priority heap (higher ``priority`` first, FIFO
-within a priority) exposed through asyncio; :meth:`JobQueue.get_batch`
-is work-conserving — it waits for one job, then takes whatever is already
-queued (up to ``max_batch``) and returns without arming a timer, so
-batches form only from a real backlog.  A positive ``window`` is an
-explicit hold that also collects arrivals for that many seconds.  Queue
-depth is published as the ``service.queue.depth`` gauge on every
-transition.
+within a priority) exposed through asyncio; the daemon's dispatcher pops
+one job at a time with :meth:`JobQueue.get` whenever a worker slot is
+free.  Queue depth is published as the ``service.queue.depth`` gauge on
+every transition.
 
 Under overload the queue *sheds*: when a higher-priority request
 arrives at a full queue, the lowest-priority (youngest-within-priority)
@@ -116,7 +113,6 @@ class AdmissionPolicy:
 class Job:
     """One queued request plus the future its submitters await."""
 
-    request: ScheduleRequest
     payload: Dict[str, Any]          # the wire dict (what workers execute)
     fingerprint: str
     future: "asyncio.Future" = field(repr=False)
@@ -147,7 +143,7 @@ class JobQueue:
 
     @property
     def depth(self) -> int:
-        """Jobs currently waiting (excludes in-flight batches)."""
+        """Jobs currently waiting (excludes in-flight jobs)."""
         return self._queue.qsize()
 
     def put_nowait(self, job: Job) -> Optional[Job]:
@@ -205,35 +201,6 @@ class JobQueue:
         _, _, job = await self._queue.get()
         _metrics.set_gauge("service.queue.depth", self.depth)
         return job
-
-    async def get_batch(self, max_batch: int, window: float) -> List[Job]:
-        """Pop one job plus whatever is already queued, up to ``max_batch``.
-
-        The first pop waits indefinitely (an idle service parks here).
-        Dispatch is work-conserving: with ``window<=0`` the batch is the
-        backlog at that instant and no timer is armed, so a batch grows
-        past one job only while the consumer was too busy to pop.  A
-        positive ``window`` is an explicit hold: late arrivals within
-        ``window`` seconds of the first pop ride along.
-        """
-        batch = [await self.get()]
-        if window > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + window
-            while len(batch) < max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(self.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
-        while len(batch) < max_batch:
-            try:
-                batch.append(self.get_nowait())
-            except asyncio.QueueEmpty:
-                break
-        return batch
 
     def get_nowait(self) -> Job:
         """Pop the highest-priority job without waiting."""

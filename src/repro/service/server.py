@@ -8,29 +8,33 @@ Request lifecycle::
         │ admission check ──────────▶ reject ("rejected")
         │ queue.put_nowait ─────────▶ reject ("backpressure") when full
         ▼
-    dispatcher (once a slot is free: first job + whatever is already
-    queued, groups by topology fingerprint, folds duplicates)
+    dispatcher (once a slot is free: pops the next job)
         ▼
-    persistent WorkerPool ── execute_batch ──▶ canonical response dicts
+    persistent WorkerPool ── execute_request ──▶ canonical response dict
         ▼
     result store (TTL) + every waiter's future resolved
 
+Identical requests are computed once: a duplicate is served from the
+store, or folds onto the in-flight future registered when the first copy
+was admitted, so two queued jobs never share a fingerprint.
+
 The whole pipeline is instrumented through :mod:`repro.obs`
-(``service.queue.depth`` gauge, ``service.batch.size`` histogram,
-``service.request`` spans) and keeps answering for faulted topologies via
-degraded-mode scheduling (see :mod:`repro.service.batch`).
+(``service.queue.depth`` gauge, ``service.request`` spans) and keeps
+answering for faulted topologies via degraded-mode scheduling (see
+:mod:`repro.service.batch`).
 
 Determinism: the computed payload for a request is byte-identical whether
-it is served solo, coalesced into a batch, or replayed from the store —
-the serving path only shows up in the reply envelope's ``served`` field.
+it is computed here, replayed from the store, or executed directly with
+:func:`~repro.service.execute_request` — the serving path only
+shows up in the reply envelope's ``served`` field.
 
 Sandbox resilience: when the platform cannot run a process pool at all
 (``fork`` forbidden), execution transparently falls back to a thread —
-same results by purity of :func:`execute_batch`, just no process
+same results by purity of :func:`execute_request`, just no process
 isolation.
 
-Self-healing (PR 7): the worker path runs under a
-:class:`~repro.service.supervisor.PoolSupervisor` — per-batch deadlines,
+Self-healing: the worker path runs under a
+:class:`~repro.service.supervisor.PoolSupervisor` — per-job deadlines,
 automatic restart and re-dispatch after worker crashes, an idle-pool
 heartbeat, and a circuit breaker that flips the daemon into degraded
 mode (typed ``degraded`` rejects with ``retry_after``) when the pool
@@ -56,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.parallel import WorkerPool, WorkersLike
-from repro.service.batch import BatchGroup, execute_batch, plan_batches
+from repro.service.batch import execute_request
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -91,17 +95,16 @@ class ServiceStartupError(RuntimeError):
     """The daemon failed to come up (bind failure, startup hang, …)."""
 
 
-def _default_executor(seq: int,
-                      payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The production batch executor: :func:`execute_batch`, seq ignored.
+def _default_executor(seq: int, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The production executor: :func:`execute_request`, seq ignored.
 
-    The ``seq`` argument is the daemon's monotonically increasing batch
+    The ``seq`` argument is the daemon's monotonically increasing job
     sequence number; the default executor ignores it, the chaos harness's
     :class:`~repro.chaos.inject.ChaoticExecutor` keys its deterministic
     fault plan on it.  Must stay a top-level function — it crosses the
     process-pool pickle boundary.
     """
-    return execute_batch(payloads)
+    return execute_request(payload)
 
 
 def _swallow_future_exception(future: "asyncio.Future") -> None:
@@ -118,39 +121,33 @@ class ServiceConfig:
     port: int = DEFAULT_PORT          # 0 = ephemeral (tests/bench)
     workers: WorkersLike = None       # None → $REPRO_WORKERS or 1
     max_pending: int = 64
-    max_batch: int = 16
-    batch_window: float = 0.0         # explicit hold (s); 0 = work-conserving
     store_ttl: Optional[float] = 300.0
-    store_size: int = 1024
-    max_inflight_batches: Optional[int] = None   # None → 2 × workers
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    # --- self-healing knobs (PR 7) ---------------------------------- #
-    request_deadline: Optional[float] = None   # s per batch attempt; None=off
-    max_redispatch: int = 2           # crash re-dispatch budget per batch
+    # --- self-healing knobs ------------------------------------------ #
+    request_deadline: Optional[float] = None   # s per job attempt; None=off
+    max_redispatch: int = 2           # crash re-dispatch budget per job
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     heartbeat_interval: Optional[float] = None  # s between idle probes
-    heartbeat_timeout: float = 10.0
     wal_path: Optional[Union[str, Path]] = None  # accepted-request journal
-    # --- operator console (PR 9) ------------------------------------ #
+    # --- operator console -------------------------------------------- #
     console_port: Optional[int] = None  # HTTP console; None=off, 0=ephemeral
-    executor: Callable[[int, List[Dict[str, Any]]],
-                       List[Dict[str, Any]]] = _default_executor
+    executor: Callable[[int, Dict[str, Any]],
+                       Dict[str, Any]] = _default_executor
 
 
 class SchedulerService:
-    """The daemon: queue + batcher + persistent pool + store, one loop."""
+    """The daemon: queue + dispatcher + persistent pool + store, one loop."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self.store = ResultStore(ttl=self.config.store_ttl,
-                                 max_entries=self.config.store_size)
+        self.store = ResultStore(ttl=self.config.store_ttl)
         self.pool = WorkerPool(self.config.workers)
         self.queue: Optional[JobQueue] = None       # built on the loop
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
-        self._group_tasks: set = set()
+        self._job_tasks: set = set()
         self._inflight: Dict[str, Job] = {}
         self._stop_event: Optional[asyncio.Event] = None
         self._started_at = 0.0
@@ -160,11 +157,10 @@ class SchedulerService:
             max_redispatch=self.config.max_redispatch,
             breaker=CircuitBreaker(self.config.breaker),
             heartbeat_interval=self.config.heartbeat_interval,
-            heartbeat_timeout=self.config.heartbeat_timeout,
         )
         self.wal: Optional[WriteAheadLog] = None     # opened on start()
         self.console = None                          # ConsoleServer on start()
-        self._batch_seq = 0
+        self._job_seq = 0
         self._counters: Dict[str, int] = {
             "requests": 0,
             "served_computed": 0, "served_store": 0, "served_inflight": 0,
@@ -172,7 +168,6 @@ class SchedulerService:
             "rejected_protocol": 0, "failed": 0,
             "rejected_shed": 0, "rejected_degraded": 0, "deadline": 0,
             "replayed": 0,
-            "batches": 0, "batched_requests": 0, "max_batch": 0,
         }
 
     # -------------------------------------------------------------- #
@@ -183,14 +178,11 @@ class SchedulerService:
         """Bind the socket, start the dispatcher; returns (host, port)."""
         self.queue = JobQueue(self.config.max_pending)
         self._stop_event = asyncio.Event()
-        # Bound the batches handed to the pool at once: when every slot is
+        # Bound the jobs handed to the pool at once: when every slot is
         # taken the dispatcher stops popping, the queue fills, and clients
         # see backpressure — instead of unbounded fan-out hiding overload
         # inside the executor's own queue.
-        slots = self.config.max_inflight_batches
-        if slots is None:
-            slots = max(2, 2 * self.pool.workers)
-        self._group_sem = asyncio.Semaphore(max(1, slots))
+        self._slots = asyncio.Semaphore(max(2, 2 * self.pool.workers))
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=MAX_LINE_BYTES,
@@ -247,9 +239,8 @@ class SchedulerService:
                 self.wal.append_done(fingerprint)
                 continue
             future = loop.create_future()
-            job = Job(request=request, payload=request.to_dict(),
-                      fingerprint=fingerprint, future=future,
-                      priority=item["priority"])
+            job = Job(payload=request.to_dict(), fingerprint=fingerprint,
+                      future=future, priority=item["priority"])
             try:
                 self.queue.put_nowait(job)
             except BackpressureError:   # pragma: no cover - tiny queues
@@ -276,7 +267,7 @@ class SchedulerService:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting, fail queued work, close the pool (reaping it)."""
+        """Stop accepting, fail queued work, kill and reap the pool."""
         if self.console is not None:
             await self.console.stop()
             self.console = None
@@ -294,7 +285,7 @@ class SchedulerService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
             self._dispatcher = None
-        for task in list(self._group_tasks):
+        for task in list(self._job_tasks):
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
@@ -308,9 +299,12 @@ class SchedulerService:
                 job.future.set_exception(
                     ConnectionError("service is shutting down"))
         self._inflight.clear()
-        # Pool close waits for in-flight jobs; do it off-loop so a long
-        # job cannot wedge the shutdown path.
-        await asyncio.get_running_loop().run_in_executor(None, self.pool.close)
+        # Every waiter has been failed, so nobody awaits the jobs still
+        # running: kill and reap the workers instead of waiting for them
+        # (a job that never returns would otherwise block shutdown).  The
+        # journal keeps their accept records for the next incarnation.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.pool.terminate)
         if self.wal is not None:
             # Queued-but-unreplied requests stay journaled: the next
             # incarnation replays them.  Close drains and fsyncs.
@@ -319,78 +313,54 @@ class SchedulerService:
         _trace.event("service.stopped")
 
     # -------------------------------------------------------------- #
-    # dispatcher: queue → batches → pool
+    # dispatcher: queue → pool, one job at a time
     # -------------------------------------------------------------- #
 
     async def _dispatch_loop(self) -> None:
-        cfg = self.config
         while True:
-            await self._group_sem.acquire()   # capacity before popping work
+            await self._slots.acquire()        # capacity before popping work
             try:
-                jobs = await self.queue.get_batch(cfg.max_batch,
-                                                  cfg.batch_window)
+                job = await self.queue.get()
             except BaseException:
-                self._group_sem.release()
+                self._slots.release()
                 raise
-            groups = plan_batches(jobs)
-            for i, group in enumerate(groups):
-                if i > 0:                      # first group uses the held slot
-                    await self._group_sem.acquire()
-                task = asyncio.create_task(self._run_group(group))
-                self._group_tasks.add(task)
-                task.add_done_callback(self._on_group_done)
-            if not groups:                     # pragma: no cover - defensive
-                self._group_sem.release()
+            task = asyncio.create_task(self._run_job(job))
+            self._job_tasks.add(task)
+            task.add_done_callback(self._on_job_done)
 
-    def _on_group_done(self, task: "asyncio.Task") -> None:
-        self._group_tasks.discard(task)
-        self._group_sem.release()
+    def _on_job_done(self, task: "asyncio.Task") -> None:
+        self._job_tasks.discard(task)
+        self._slots.release()
 
-    async def _run_group(self, group: BatchGroup) -> None:
-        payloads = group.payloads()
-        self._counters["batches"] += 1
-        self._counters["batched_requests"] += group.total
-        self._counters["max_batch"] = max(self._counters["max_batch"],
-                                          group.total)
-        _metrics.observe("service.batch.size", group.total)
-        _metrics.observe("service.batch.unique", group.unique)
-        served = {"from": "computed", "batch_size": group.total,
-                  "unique": group.unique}
+    async def _run_job(self, job: Job) -> None:
+        """Execute one job under supervision; settle its future and journal.
+
+        The supervisor owns the resilience policy — per-attempt deadline,
+        restart + re-dispatch on worker crashes, circuit-breaker
+        accounting and the sandbox thread fallback; its failures are
+        typed and become typed error replies.
+        """
+        self._job_seq += 1
         try:
-            results = await self._execute(payloads)
+            result = await self.supervisor.run(
+                self.config.executor, self._job_seq, job.payload)
         except Exception as exc:
-            self._counters["failed"] += group.total
-            for entry in group.entries:
-                # The client gets an explicit typed error — the request
-                # is settled, so the journal entry is too.
-                self._wal_done(entry[0].fingerprint)
-                for job in entry:
-                    if not job.future.done():
-                        job.future.set_exception(exc)
+            # The client gets an explicit typed error — the request is
+            # settled, so the journal entry is too.
+            self._counters["failed"] += 1
+            self._wal_done(job.fingerprint)
+            if not job.future.done():
+                job.future.set_exception(exc)
             return
-        for entry, result in zip(group.entries, results):
-            self.store.put(entry[0].fingerprint, result)
-            self._wal_done(entry[0].fingerprint)
-            for job in entry:
-                if not job.future.done():
-                    job.future.set_result((result, served))
+        self.store.put(job.fingerprint, result)
+        self._wal_done(job.fingerprint)
+        if not job.future.done():
+            job.future.set_result(result)
 
     def _wal_done(self, fingerprint: str) -> None:
         """Settle a journal entry once its request has a definite outcome."""
         if self.wal is not None:
             self.wal.append_done(fingerprint)
-
-    async def _execute(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Run one batch under supervision (deadline, restart, re-dispatch).
-
-        Delegates the resilience policy — per-attempt deadline, restart +
-        re-dispatch on worker crashes, circuit-breaker accounting and the
-        sandbox thread fallback — to the :class:`PoolSupervisor`; failures
-        surface as its typed errors and are mapped to typed error replies.
-        """
-        self._batch_seq += 1
-        return await self.supervisor.run(
-            self.config.executor, self._batch_seq, payloads)
 
     # -------------------------------------------------------------- #
     # connection handling
@@ -491,7 +461,7 @@ class SchedulerService:
             retry_after = self.supervisor.breaker.reject_after()
             if retry_after is not None:
                 # Degraded mode: the worker path is crash-looping; reject
-                # new work with a hint instead of queueing doomed batches.
+                # new work with a hint instead of queueing doomed jobs.
                 self._counters["rejected_degraded"] += 1
                 sp.set(served="degraded")
                 return error_envelope(
@@ -500,9 +470,8 @@ class SchedulerService:
                     "retry later",
                     retry_after=round(retry_after, 3))
             future = asyncio.get_running_loop().create_future()
-            job = Job(request=request, payload=request.to_dict(),
-                      fingerprint=fingerprint, future=future,
-                      priority=request.priority)
+            job = Job(payload=request.to_dict(), fingerprint=fingerprint,
+                      future=future, priority=request.priority)
             try:
                 victim = self.queue.put_nowait(job)
             except BackpressureError as exc:
@@ -581,7 +550,7 @@ class SchedulerService:
     async def _await_future(self, future: "asyncio.Future",
                             source: str) -> Dict[str, Any]:
         try:
-            result, served = await asyncio.wait_for(
+            result = await asyncio.wait_for(
                 asyncio.shield(future), self._reply_timeout())
         except asyncio.TimeoutError:
             self._counters["deadline"] += 1
@@ -591,12 +560,8 @@ class SchedulerService:
                 "was dropped")
         except Exception as exc:
             return self._error_reply(exc)
-        if source == "inflight":
-            self._counters["served_inflight"] += 1
-            served = {**served, "from": "inflight"}
-        else:
-            self._counters["served_computed"] += 1
-        return ok_envelope(result=result, served=served)
+        self._counters[f"served_{source}"] += 1
+        return ok_envelope(result=result, served={"from": source})
 
     def _handle_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
         ticket = message.get("ticket")
@@ -620,7 +585,6 @@ class SchedulerService:
 
         c = self._counters
         store_stats = self.store.stats()
-        batches = c["batches"]
         return ServiceStatus(
             version=__version__,
             uptime_seconds=round(time.monotonic() - self._started_at, 3),
@@ -654,13 +618,6 @@ class SchedulerService:
                 "workers": self.pool.workers,
                 "active": self.pool.active,
                 "thread_fallback": self.supervisor.thread_fallback,
-            },
-            batches={
-                "count": batches,
-                "requests": c["batched_requests"],
-                "mean_size": (round(c["batched_requests"] / batches, 3)
-                              if batches else None),
-                "max_size": c["max_batch"],
             },
             supervisor=self.supervisor.status(),
             wal=(self.wal.status() if self.wal is not None else None),
@@ -700,8 +657,8 @@ class SchedulerService:
 def status_metrics_snapshot(status: Dict[str, Any]) -> Dict[str, Any]:
     """A ``status`` dict as a registry-snapshot shape for the exporter.
 
-    Monotone totals (requests, served/rejected reasons, store traffic,
-    batches) become counters; instantaneous readings (queue depth,
+    Monotone totals (requests, served/rejected reasons, store traffic)
+    become counters; instantaneous readings (queue depth,
     inflight, pool occupancy, uptime) become gauges.  Keys are dotted
     instrument names; :func:`repro.obs.export.render_prometheus` turns
     them into legal exposition names.
@@ -717,9 +674,6 @@ def status_metrics_snapshot(status: Dict[str, Any]) -> Dict[str, Any]:
     for kind in ("hits", "misses", "evictions", "expirations",
                  "corruptions"):
         counters[f"service.store.{kind}"] = store.get(kind, 0)
-    batches = status.get("batches", {})
-    counters["service.batches"] = batches.get("count", 0)
-    counters["service.batched_requests"] = batches.get("requests", 0)
     console = status.get("console") or {}
     if console:
         counters["service.console.requests"] = console.get("requests", 0)
@@ -778,8 +732,8 @@ def running_service(config: Optional[ServiceConfig] = None):
             host, port = service.address
             ...
 
-    On exit the daemon is stopped and its pool closed (or reaped, if the
-    body raised a ``KeyboardInterrupt``-class exception).
+    On exit the daemon is stopped and its pool's workers killed and
+    reaped.
     """
     service = SchedulerService(config)
     started = threading.Event()

@@ -1,17 +1,17 @@
 """Supervision of the service's worker pool: restarts, deadlines, breaker.
 
-The daemon's worker path used to be optimistic: submit a batch to the
+The daemon's worker path used to be optimistic: submit a job to the
 persistent :class:`~repro.parallel.WorkerPool` and await the future.  A
 crashed worker broke every waiter, a hung worker wedged the dispatcher
 slot forever, and a crash-looping pool burned CPU while clients timed
 out.  :class:`PoolSupervisor` wraps the pool with the four disciplines a
 self-healing service needs:
 
-- **restart + re-dispatch** — a batch whose worker dies mid-run
+- **restart + re-dispatch** — a job whose worker dies mid-run
   (``BrokenProcessPool``) gets the damaged workers reaped, the pool
-  restarted and the *orphaned batch re-dispatched* on the fresh workers,
+  restarted and the *orphaned job re-dispatched* on the fresh workers,
   with capped full-jitter backoff between attempts
-  (:func:`repro.parallel.backoff_delay`) so concurrent batches do not
+  (:func:`repro.parallel.backoff_delay`) so concurrent jobs do not
   stampede a recovering pool;
 - **deadlines** — every attempt is bounded by a wall-clock deadline; a
   hung worker trips :class:`DeadlineExceededError` (typed, mapped to an
@@ -20,13 +20,13 @@ self-healing service needs:
 - **circuit breaker** — consecutive worker-path failures flip
   :class:`CircuitBreaker` open; while open the daemon *rejects* new work
   with a ``retry_after`` hint (degraded mode) instead of queueing doomed
-  batches, then re-probes after a cooldown (half-open) and closes again
+  jobs, then re-probes after a cooldown (half-open) and closes again
   on the first success;
 - **heartbeat** — an *idle* pool is probed every ``heartbeat_interval``
   seconds with a trivial round-trip job; a missed heartbeat restarts the
   pool before real work arrives.  A busy pool is never probed: in-flight
-  batches are their own health signal (they either complete or trip their
-  deadline), and a probe queued behind a long batch would false-positive.
+  jobs are their own health signal (they either complete or trip their
+  deadline), and a probe queued behind a long job would false-positive.
 
 Everything is observable: ``service.supervisor.{restarts,redispatches,
 deadline_trips,heartbeats,heartbeat_misses}`` counters plus
@@ -66,7 +66,7 @@ class SupervisorError(Exception):
 
 
 class DeadlineExceededError(SupervisorError, TimeoutError):
-    """The batch exceeded its wall-clock deadline (worker hang/slowdown)."""
+    """The job exceeded its wall-clock deadline (worker hang/slowdown)."""
 
     code = "deadline"
 
@@ -284,7 +284,7 @@ class PoolSupervisor:
                     await self._restart("deadline")
                     self.breaker.record_failure()
                     raise DeadlineExceededError(
-                        f"batch exceeded its {self.deadline}s deadline; "
+                        f"job exceeded its {self.deadline}s deadline; "
                         "the worker was restarted"
                     ) from None
                 except BrokenProcessPool as exc:
@@ -293,7 +293,7 @@ class PoolSupervisor:
                     if attempt >= self.max_redispatch:
                         raise WorkerCrashError(
                             f"workers died {attempt + 1} times running this "
-                            "batch; giving up"
+                            "job; giving up"
                         ) from exc
                     attempt += 1
                     self._counters["redispatches"] += 1

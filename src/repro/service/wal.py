@@ -17,7 +17,8 @@ header:
 - ``{"op": "done", "fp": ...}`` — appended once the reply is computed.
   Flushed but not fsynced: losing one only replays a request that
   already completed, and the deterministic execution contract
-  (:mod:`repro.service.batch`) makes the replayed reply byte-identical.
+  (:func:`repro.service.execute_request`) makes the replayed reply
+  byte-identical.
 
 On open, accepts without a later done are folded by fingerprint in
 acceptance order (:meth:`WriteAheadLog.pending`, for replay through the

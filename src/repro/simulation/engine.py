@@ -39,7 +39,7 @@ used by the parity suite and the engine benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.obs import metrics as _metrics

@@ -25,39 +25,36 @@ from repro.topology.irregular import random_irregular_topology
 
 
 @pytest.fixture(scope="module")
-def payloads():
+def payload():
     topo = random_irregular_topology(8, seed=11, name="chaos-test8")
-    return [ScheduleRequest.build(topo, clusters=4, method="tabu",
-                                  seed=s).to_dict() for s in (1, 2)]
+    return ScheduleRequest.build(topo, clusters=4, method="tabu",
+                                 seed=1).to_dict()
 
 
 class TestChaoticExecutor:
     def test_error_fault_fires_exactly_once_per_seq(self, tmp_path,
-                                                    payloads):
+                                                    payload):
         executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"))
         with pytest.raises(RuntimeError, match="chaos"):
-            executor(1, payloads)
-        # Same seq again: the latch is claimed, the batch runs clean.
-        results = executor(1, payloads)
-        assert [r["seed"] for r in results] == [1, 2]
+            executor(1, payload)
+        # Same seq again: the latch is claimed, the job runs clean.
+        assert executor(1, payload) == execute_request(payload)
 
-    def test_unplanned_seqs_execute_normally(self, tmp_path, payloads):
+    def test_unplanned_seqs_execute_normally(self, tmp_path, payload):
         executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"))
-        results = executor(2, payloads)
-        assert results == [execute_request(p) for p in payloads]
+        assert executor(2, payload) == execute_request(payload)
 
-    def test_once_false_fires_every_attempt(self, tmp_path, payloads):
+    def test_once_false_fires_every_attempt(self, tmp_path, payload):
         executor = ChaoticExecutor({1: FaultAction("error")}, str(tmp_path / "latch"),
                                    once=False)
         for _ in range(3):
             with pytest.raises(RuntimeError, match="chaos"):
-                executor(1, payloads)
+                executor(1, payload)
 
-    def test_slow_fault_still_completes_correctly(self, tmp_path, payloads):
+    def test_slow_fault_still_completes_correctly(self, tmp_path, payload):
         executor = ChaoticExecutor(slow_at(1, delay=0.05),
                                    str(tmp_path / "latch"))
-        assert executor(1, payloads) \
-            == [execute_request(p) for p in payloads]
+        assert executor(1, payload) == execute_request(payload)
 
     def test_executor_is_picklable(self, tmp_path):
         import pickle

@@ -28,7 +28,9 @@ class TestFaultAction:
     def test_builders_key_on_batch_numbers(self):
         assert set(crash_at(1, 3)) == {1, 3}
         assert hang_at(2, delay=5.0)[2] == FaultAction("hang", delay=5.0)
+        assert set(hang_at(1, 2, 3)) == {1, 2, 3}
         assert slow_at(5)[5].kind == "slow"
+        assert set(slow_at(1, 2)) == {1, 2}
 
 
 class TestMutateFrame:

@@ -1,8 +1,7 @@
-"""Batch planning and worker-side execution: grouping, dedup, determinism."""
+"""Worker-side execution of one request: determinism, degraded mode, sweeps."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -10,72 +9,25 @@ import pytest
 from repro.core.scheduler import CommunicationAwareScheduler
 from repro.distance.cache import configure_cache
 from repro.faults.model import FaultScenario
-from repro.service.batch import execute_batch, execute_request, plan_batches
+from repro.service.batch import execute_request
 from repro.service.protocol import SimulateSpec, build_search
-from repro.service.queue import Job
-from repro.topology.irregular import random_irregular_topology
-
-
-def _jobs(requests):
-    """Wrap requests as queue jobs (futures need a live loop)."""
-    async def build():
-        loop = asyncio.get_running_loop()
-        return [
-            Job(request=r, payload=r.to_dict(), fingerprint=r.fingerprint(),
-                future=loop.create_future(), priority=r.priority)
-            for r in requests
-        ]
-    return asyncio.run(build())
-
-
-class TestPlanBatches:
-    def test_groups_by_topology(self, make_request):
-        other = random_irregular_topology(8, seed=77, name="svc8-other")
-        jobs = _jobs([
-            make_request(seed=1),
-            make_request(seed=1, topology=other),
-            make_request(seed=2),
-        ])
-        groups = plan_batches(jobs)
-        assert [g.total for g in groups] == [2, 1]
-        assert groups[0].topology_fp != groups[1].topology_fp
-
-    def test_duplicates_fold_into_one_entry(self, make_request):
-        jobs = _jobs([
-            make_request(seed=1),
-            make_request(seed=1, priority=5),   # same fingerprint
-            make_request(seed=2),
-        ])
-        (group,) = plan_batches(jobs)
-        assert group.total == 3
-        assert group.unique == 2
-        assert len(group.payloads()) == 2
-
-    def test_planning_is_order_preserving(self, make_request):
-        jobs = _jobs([make_request(seed=s) for s in (3, 1, 2)])
-        (group,) = plan_batches(jobs)
-        assert [e[0].request.seed for e in group.entries] == [3, 1, 2]
-
-    def test_empty_input(self):
-        assert plan_batches([]) == []
 
 
 class TestExecutionDeterminism:
-    def test_solo_equals_batched_equals_cold(self, make_request):
+    def test_solo_equals_cold(self, make_request):
         # The determinism contract at the executor level: one request's
-        # canonical payload is byte-identical alone, inside a batch, and
-        # with cold caches.
+        # canonical payload is byte-identical with warm caches (after
+        # other requests on the same topology) and with cold caches.
         reqs = [make_request(seed=s) for s in (1, 2, 3)]
         payloads = [r.to_dict() for r in reqs]
-        batched = execute_batch(payloads)
-        solo = [execute_batch([p])[0] for p in payloads]
+        warm = [execute_request(p) for p in payloads]
         cold = []
         for p in payloads:
             configure_cache(clear=True)
             cold.append(execute_request(p))
-        for a, b, c in zip(batched, solo, cold):
-            blob = lambda d: json.dumps(d, sort_keys=True)  # noqa: E731
-            assert blob(a) == blob(b) == blob(c)
+        for a, b in zip(warm, cold):
+            assert json.dumps(a, sort_keys=True) \
+                == json.dumps(b, sort_keys=True)
 
     def test_matches_direct_scheduler_call(self, make_request, service_topo):
         req = make_request(seed=9)
@@ -146,7 +98,7 @@ class TestSimulation:
             seed=3,
             simulate=SimulateSpec(points=3, warmup=10, measure=30,
                                   engine="vector"))
-        a = execute_batch([req.to_dict()])[0]
-        b = execute_batch([req.to_dict()])[0]
+        a = execute_request(req.to_dict())
+        b = execute_request(req.to_dict())
         assert a == b
         assert len(a["simulation"]) == 3

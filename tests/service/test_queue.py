@@ -1,4 +1,4 @@
-"""Admission policy and job-queue tests (priority, backpressure, dispatch)."""
+"""Admission policy and job-queue tests (priority, backpressure, shedding)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import asyncio
 
 import pytest
 
-from repro.service import ServiceConfig
 from repro.service.protocol import SimulateSpec
 from repro.service.queue import (
     AdmissionError,
@@ -24,8 +23,7 @@ def run(coro):
 
 def _job(request, *, priority=0) -> Job:
     """Build a Job; must be called inside a running event loop."""
-    return Job(request=request, payload=request.to_dict(),
-               fingerprint=request.fingerprint(),
+    return Job(payload=request.to_dict(), fingerprint=request.fingerprint(),
                future=asyncio.get_running_loop().create_future(),
                priority=priority)
 
@@ -107,90 +105,17 @@ class TestJobQueue:
             assert q.depth == 0
         run(body())
 
-
-class TestWorkConservingDispatch:
-    def test_default_config_dispatches_without_holding(self, make_request):
+    def test_get_waits_for_work(self, make_request):
         async def body():
             q = JobQueue(max_pending=8)
-            q.put_nowait(_job(make_request(seed=1)))
-
-            async def late():
-                await asyncio.sleep(0.01)
-                q.put_nowait(_job(make_request(seed=2)))
-
-            task = asyncio.ensure_future(late())
-            batch = await q.get_batch(max_batch=4,
-                                      window=ServiceConfig().batch_window)
-            await task
-            assert len(batch) == 1
-            assert q.depth == 1
-        run(body())
-
-    def test_takes_the_backlog_up_to_max_batch(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
-            for s in range(5):
-                q.put_nowait(_job(make_request(seed=s)))
-            batch = await q.get_batch(max_batch=4, window=0.0)
-            assert len(batch) == 4
-            assert q.depth == 1
-        run(body())
-
-
-class TestBatchWindow:
-    def test_collects_whatever_is_queued(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
-            for s in range(3):
-                q.put_nowait(_job(make_request(seed=s)))
-            batch = await q.get_batch(max_batch=8, window=0.01)
-            assert len(batch) == 3
-        run(body())
-
-    def test_max_batch_caps_the_drain(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
-            for s in range(5):
-                q.put_nowait(_job(make_request(seed=s)))
-            batch = await q.get_batch(max_batch=2, window=0.01)
-            assert len(batch) == 2
-            assert q.depth == 3
-        run(body())
-
-    def test_max_batch_one_degrades_to_single_dispatch(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
-            q.put_nowait(_job(make_request(seed=1)))
-            q.put_nowait(_job(make_request(seed=2)))
-            batch = await q.get_batch(max_batch=1, window=1.0)
-            assert len(batch) == 1
-        run(body())
-
-    def test_window_picks_up_late_arrivals(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
-            q.put_nowait(_job(make_request(seed=1)))
-
-            async def late():
-                await asyncio.sleep(0.02)
-                q.put_nowait(_job(make_request(seed=2)))
-
-            task = asyncio.ensure_future(late())
-            batch = await q.get_batch(max_batch=4, window=0.5)
-            await task
-            assert len(batch) == 2
-        run(body())
-
-    def test_first_pop_waits_for_work(self, make_request):
-        async def body():
-            q = JobQueue(max_pending=8)
+            job = _job(make_request(seed=1))
 
             async def later():
                 await asyncio.sleep(0.02)
-                q.put_nowait(_job(make_request(seed=1)))
+                q.put_nowait(job)
 
             task = asyncio.ensure_future(later())
-            batch = await q.get_batch(max_batch=4, window=0.01)
+            assert await q.get() is job
             await task
-            assert len(batch) == 1
+            assert q.depth == 0
         run(body())

@@ -37,7 +37,7 @@ from repro.topology.irregular import random_irregular_topology
 
 
 def fast_config(**overrides) -> ServiceConfig:
-    defaults = dict(port=0, workers=2, max_batch=8)
+    defaults = dict(port=0, workers=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -143,8 +143,8 @@ class TestLoadShedding:
     @staticmethod
     def job(priority: int, tag: str) -> Job:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        return Job(request=None, payload={"tag": tag}, fingerprint=tag,
-                   future=future, priority=priority)
+        return Job(payload={"tag": tag}, fingerprint=tag, future=future,
+                   priority=priority)
 
     def test_a_higher_priority_job_evicts_the_lowest_youngest(self):
         async def _go():

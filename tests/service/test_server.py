@@ -1,9 +1,9 @@
 """End-to-end service tests over a real loopback socket.
 
 The centrepiece is the determinism contract: an identical request returns
-a byte-identical canonical payload whether it is served solo, coalesced
-into a micro-batch, or replayed from the result store — only the reply
-envelope's ``served`` field differs.
+a byte-identical canonical payload whether it is computed, folded onto an
+identical in-flight request, or replayed from the result store — only the
+reply envelope's ``served`` field differs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceError,
-    execute_batch,
+    execute_request,
     running_service,
 )
 from repro.service.protocol import MAX_LINE_BYTES
@@ -28,7 +28,7 @@ from repro.topology.irregular import random_irregular_topology
 
 
 def fast_config(**overrides) -> ServiceConfig:
-    defaults = dict(port=0, workers=2, max_batch=8)
+    defaults = dict(port=0, workers=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -91,19 +91,19 @@ class TestBasicOps:
 
 class TestDeterminismContract:
     def test_solo_batched_and_stored_are_bit_identical(self, make_request):
-        # Fresh service so the store starts empty.  The same request is
-        # served three ways; every payload must be byte-identical to a
-        # direct in-process execution.
+        # Fresh service so the store starts empty.  Requests are served
+        # alone, from the store and concurrently; every payload must be
+        # byte-identical to a direct in-process execution.
         req = make_request(seed=21)
-        expected = canon(execute_batch([req.to_dict()])[0])
+        expected = canon(execute_request(req.to_dict()))
         with running_service(fast_config()) as svc:
             with ServiceClient(*svc.address) as c:
                 c.wait_until_ready()
-                first = c.submit(req)                # computed (solo batch)
+                first = c.submit(req)                # computed
                 stored = c.submit(req)               # replayed from store
 
-                # Batched: many distinct seeds + our request in one burst
-                # from parallel clients, so the batcher coalesces them.
+                # Concurrent: distinct seeds in one burst from parallel
+                # clients, so several jobs share the pool at once.
                 results = {}
 
                 def submit(seed):
@@ -123,7 +123,7 @@ class TestDeterminismContract:
         assert canon(stored["result"]) == expected
         for seed, reply in results.items():
             direct = canon(
-                execute_batch([make_request(seed=seed).to_dict()])[0])
+                execute_request(make_request(seed=seed).to_dict()))
             assert canon(reply["result"]) == direct
 
     def test_priority_does_not_leak_into_the_payload(self, make_request):
@@ -171,7 +171,6 @@ class TestCoalescing:
         assert status.served["computed"] == 1
         assert status.served["store"] + status.served["inflight"] \
             == n_clients - 1
-        assert status.batches["requests"] == 1
 
     def test_concurrent_duplicates_with_a_wal_execute_and_journal_once(
             self, make_request, tmp_path):
@@ -185,7 +184,6 @@ class TestCoalescing:
                 status = c.status()
         assert len({canon(r["result"]) for r in replies}) == 1
         assert status.served["computed"] == 1
-        assert status.batches["requests"] == 1
         records = [json.loads(line)
                    for line in wal_path.read_text().splitlines()[1:]]
         assert [r["op"] for r in records] == ["accept", "done"]
@@ -205,13 +203,16 @@ class TestAdmissionAndBackpressure:
                 served = c.status().rejected
         assert served["admission"] == 1
 
-    def test_backpressure_carries_retry_after(self, make_request):
-        # One worker, one in-flight batch slot, one queue slot: while the
-        # first request computes, the second occupies the queue and every
+    def test_backpressure_carries_retry_after(self, make_request, tmp_path):
+        # One worker has two in-flight slots; two slow jobs fill them and
+        # the next request occupies the single queue slot, so every
         # further no-wait submit must bounce with a retry hint (distinct
         # seeds, so nothing coalesces).
-        cfg = fast_config(workers=1, max_pending=1,
-                          max_inflight_batches=1, max_batch=1)
+        from repro.chaos import ChaoticExecutor, slow_at
+
+        executor = ChaoticExecutor(slow_at(1, 2, delay=1.5),
+                                   str(tmp_path / "latch"))
+        cfg = fast_config(workers=1, max_pending=1, executor=executor)
         with running_service(cfg) as svc:
             with ServiceClient(*svc.address) as c:
                 c.wait_until_ready()
@@ -244,32 +245,32 @@ class TestTickets:
                 ticket = reply["ticket"]
                 assert ticket == req.fingerprint()
                 r = poll_result(c, ticket)
-        assert canon(r["result"]) == canon(execute_batch([req.to_dict()])[0])
+        assert canon(r["result"]) == canon(execute_request(req.to_dict()))
 
     def test_queued_ticket_is_pending_then_resolves(self, make_request,
                                                     tmp_path):
-        # The first batch sleeps in the worker and holds the only batch
-        # slot, so the second no-wait request sits in the queue: a result
-        # poll must see it as pending, not as an unknown ticket.
+        # Two slow jobs hold both in-flight slots of the single worker, so
+        # the third no-wait request sits in the queue: a result poll must
+        # see it as pending, not as an unknown ticket.
         from repro.chaos import ChaoticExecutor, slow_at
 
-        busy, queued = make_request(seed=52), make_request(seed=53)
-        executor = ChaoticExecutor(slow_at(1, delay=1.5),
+        busy = [make_request(seed=52), make_request(seed=54)]
+        queued = make_request(seed=53)
+        executor = ChaoticExecutor(slow_at(1, 2, delay=1.5),
                                    str(tmp_path / "latch"))
-        cfg = fast_config(workers=1, max_inflight_batches=1, max_batch=1,
-                          executor=executor)
+        cfg = fast_config(workers=1, executor=executor)
         with running_service(cfg) as svc:
             with ServiceClient(*svc.address) as c:
                 c.wait_until_ready()
-                c.submit(busy, wait=False)
+                for request in busy:
+                    c.submit(request, wait=False)
                 ticket = c.submit(queued, wait=False)["ticket"]
                 assert c.status().queue_depth == 1
                 pending = c.result(ticket)
                 assert pending["status"] == "pending"
                 assert "result" not in pending
                 r = poll_result(c, ticket)
-        assert canon(r["result"]) \
-            == canon(execute_batch([queued.to_dict()])[0])
+        assert canon(r["result"]) == canon(execute_request(queued.to_dict()))
 
     def test_unknown_ticket_is_an_error(self, client):
         with pytest.raises(ServiceError, match="unknown-ticket"):
@@ -290,7 +291,7 @@ class TestDegradedRequests:
         result = reply["result"]
         assert result["degraded"] is not None
         assert result["partition"] is None
-        assert canon(result) == canon(execute_batch([req.to_dict()])[0])
+        assert canon(result) == canon(execute_request(req.to_dict()))
 
 
 class TestShutdown:
@@ -306,13 +307,26 @@ class TestShutdown:
         assert svc.pool.closed
         assert not svc.pool.active
 
-    def test_stop_fails_pending_futures_instead_of_hanging(self,
-                                                           make_request):
-        cfg = fast_config(batch_window=5.0, max_batch=64)
-        with running_service(cfg) as svc:
+    def test_stop_fails_pending_futures_instead_of_hanging(self, make_request,
+                                                           tmp_path):
+        # The only job hangs in its worker for 30 s and its ticket has no
+        # waiter: stopping must fail the pending future and kill the
+        # worker instead of waiting for the job to return.
+        from repro.chaos import ChaoticExecutor, hang_at
+
+        executor = ChaoticExecutor(hang_at(1, delay=30.0),
+                                   str(tmp_path / "latch"))
+        with running_service(fast_config(executor=executor)) as svc:
             address = svc.address
-        # Exiting the context is itself the assertion: a service whose
-        # queue drain hangs would deadlock the join in running_service.
+            with ServiceClient(*address) as c:
+                c.wait_until_ready()
+                c.submit(make_request(seed=62), wait=False)
+            deadline = time.monotonic() + 10.0
+            while svc.supervisor.inflight == 0:
+                assert time.monotonic() < deadline, "job never dispatched"
+                time.sleep(0.02)
+            start = time.monotonic()
+        assert time.monotonic() - start < 10.0
         assert svc.pool.closed
         with pytest.raises((ConnectionRefusedError, ConnectionError,
                             OSError)):

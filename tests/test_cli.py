@@ -254,7 +254,7 @@ class TestServiceCommands:
         assert "served:   store" in capsys.readouterr().out
 
     def test_submit_json_emits_the_canonical_payload(self, service, capsys):
-        from repro.service import ScheduleRequest, execute_batch
+        from repro.service import ScheduleRequest, execute_request
         from repro.topology.irregular import random_irregular_topology
 
         host, port = service.address
@@ -264,7 +264,7 @@ class TestServiceCommands:
         # The CLI seeds the generated topology and the search identically.
         topo = random_irregular_topology(8, seed=4)
         req = ScheduleRequest.build(topo, clusters=4, seed=4)
-        assert printed == execute_batch([req.to_dict()])[0]
+        assert printed == execute_request(req.to_dict())
 
     def test_submit_request_file_round_trip(self, service, tmp_path, capsys):
         from repro import serialize

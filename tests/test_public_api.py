@@ -94,6 +94,66 @@ def test_every_public_definition_is_reached():
     assert not stale, f"allowlist entries that are reached or gone: {stale}"
 
 
+def _module_imports(body):
+    """Import statements at module scope, including under ``if``/``try``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            yield from _module_imports(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _module_imports(node.body + node.orelse
+                                       + node.finalbody)
+            for handler in node.handlers:
+                yield from _module_imports(handler.body)
+
+
+def _loaded_names(tree):
+    """Names the module loads, including inside string annotations."""
+    loaded = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded |= _loaded_names(ast.parse(node.value, mode="eval"))
+    return loaded
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = _loaded_names(tree) | _exported_names(tree)
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                  f"{bound}")
+    assert not unused, f"module-level imports never used: {unused}"
+
+
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
