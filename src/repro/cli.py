@@ -37,11 +37,12 @@ reproduced with a few lines of Python (see examples/).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
-from repro import serialize
-from repro.core.mapping import Workload
+from repro.core.mapping import Partition, Workload
 from repro.core.scheduler import CommunicationAwareScheduler
 from repro.distance.cache import cached_routing_table
 from repro.parallel import WorkersLike
@@ -78,12 +79,18 @@ def _workers_arg(value: str) -> WorkersLike:
     return count
 
 
+def _save_json(payload: Dict[str, Any], path: str) -> None:
+    """Write a ``--save`` file: indented JSON plus a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def _build_topology(args: argparse.Namespace) -> Topology:
     if getattr(args, "load", None):
-        obj = serialize.load(args.load)
-        if not isinstance(obj, Topology):
-            raise SystemExit(f"{args.load} does not contain a topology")
-        return obj
+        try:
+            return Topology.from_dict(json.loads(Path(args.load).read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(
+                f"{args.load} does not contain a topology ({exc})")
     kind = args.kind
     if kind == "irregular":
         return random_irregular_topology(args.switches, seed=args.seed)
@@ -112,7 +119,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
     degs = [topo.degree(s) for s in range(topo.num_switches)]
     print(f"degree (min/max): {min(degs)}/{max(degs)}")
     if args.save:
-        serialize.save(topo, args.save)
+        _save_json(topo.to_dict(), args.save)
         print(f"saved to {args.save}")
     return 0
 
@@ -148,7 +155,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         t.add_row([f"random-{s}", r.f_g, r.c_c])
     print(t.render())
     if args.save:
-        serialize.save(result.partition, args.save)
+        _save_json(result.partition.to_dict(), args.save)
         print(f"\npartition saved to {args.save}")
     return 0
 
@@ -253,8 +260,6 @@ def cmd_failures(args: argparse.Namespace) -> int:
                           checkpoint_path=args.resume)
     print(render_fault_study(res))
     if args.report:
-        from pathlib import Path
-
         from repro.reporting import (
             records_from_fault_study,
             render_html,
@@ -263,8 +268,8 @@ def cmd_failures(args: argparse.Namespace) -> int:
 
         result = wrap_records(
             records_from_fault_study(res),
+            network=f"{topo.name} ({topo.num_switches} switches)",
             name=f"fault study ({topo.name})",
-            switches=topo.num_switches,
         )
         Path(args.report).write_text(render_html(result))
         print(f"html report written to {args.report}")
@@ -293,8 +298,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos scenarios and report verdicts (``repro chaos``)."""
-    import json as _json
-
     from repro.chaos import SCENARIOS, render_report, run_scenarios
 
     if args.list:
@@ -307,7 +310,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     if args.json:
-        print(_json.dumps([r.to_dict() for r in results], indent=2,
+        print(json.dumps([r.to_dict() for r in results], indent=2,
                           sort_keys=True))
     else:
         print(render_report(results))
@@ -319,10 +322,7 @@ def _build_request(args: argparse.Namespace):
     from repro.service import ProtocolError, ScheduleRequest, SimulateSpec
 
     if getattr(args, "request", None):
-        import json as _json
-        from pathlib import Path
-
-        payload = _json.loads(Path(args.request).read_text())
+        payload = json.loads(Path(args.request).read_text())
         try:
             return ScheduleRequest.from_dict(payload)
         except ProtocolError as exc:
@@ -340,8 +340,6 @@ def _build_request(args: argparse.Namespace):
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one request to a running service and print the reply."""
-    import json as _json
-
     from repro.service import ServiceClient, ServiceError
 
     request = _build_request(args)
@@ -364,7 +362,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     result = reply["result"]
     served = reply.get("served", {})
     if args.json:
-        print(_json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     print(f"topology: {result['topology_name']}  method: {result['method']}  "
           f"seed: {result['seed']}")
@@ -376,7 +374,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
               f"{len(degraded['placements'])} placed, "
               f"{len(degraded['unplaced'])} unplaced")
     else:
-        partition = serialize.partition_from_dict(result["partition"])
+        partition = Partition.from_dict(result["partition"])
         for i, members in enumerate(partition.clusters()):
             print(f"  cluster {i}: ({','.join(map(str, members))})")
         print(f"F_G={result['f_g']:.4f}  D_G={result['d_g']:.4f}  "
@@ -389,18 +387,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
                       digits=4)
         print(t.render())
     if args.save:
-        from pathlib import Path
-
         Path(args.save).write_text(
-            _json.dumps(result, indent=2, sort_keys=True) + "\n")
+            json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"response saved to {args.save}")
     return 0
 
 
 def cmd_status(args: argparse.Namespace) -> int:
     """Print a running service's counters (``repro status``)."""
-    import json as _json
-
     from repro.service import ServiceClient
 
     try:
@@ -410,7 +404,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     except ConnectionRefusedError:
         raise SystemExit(f"no service at {args.host}:{args.port}")
     if args.json:
-        print(_json.dumps(status.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(status.to_dict(), indent=2, sort_keys=True))
         return 0
     d = status.to_dict()
     print(f"service version:  {d['package_version']}  "
@@ -459,9 +453,6 @@ def _study_metrics(result) -> str:
 
 def _report_study(args: argparse.Namespace) -> int:
     """Run a variation study and emit/serve its reports."""
-    import json as _json
-    from pathlib import Path
-
     from repro.reporting import (
         StudySpec,
         render_html,
@@ -488,7 +479,7 @@ def _report_study(args: argparse.Namespace) -> int:
     if args.records:
         rows = [r.to_dict() for r in result.records]
         Path(args.records).write_text(
-            _json.dumps(rows, indent=2, sort_keys=True) + "\n")
+            json.dumps(rows, indent=2, sort_keys=True) + "\n")
         print(f"{len(rows)} variation records written to {args.records}")
     if args.serve:
         page = render_html(result)
@@ -514,7 +505,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not args.trace_file:
         raise SystemExit(
             "provide a trace file or --study SPEC (see 'repro report -h')")
-    import json as _json
 
     from repro.obs.report import load_trace, render_report, report_json
 
@@ -523,7 +513,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         raise SystemExit(f"no trace file at {args.trace_file}")
     if args.json:
-        print(_json.dumps(report_json(data, slowest=args.slowest),
+        print(json.dumps(report_json(data, slowest=args.slowest),
                           indent=2, sort_keys=True))
     else:
         print(render_report(data, slowest=args.slowest))
@@ -563,8 +553,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if 6 in wanted:
         print(render_fig6(run_fig6(sim_result=fig3_cache)), "\n")
     if args.report:
-        from pathlib import Path
-
         from repro.reporting import (
             records_from_sim_figure,
             render_html,
@@ -573,11 +561,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
         records = []
         names = []
+        networks = []
         for label, res in (("fig3", fig3_cache), ("fig5", fig5_cache)):
             if res is not None:
                 records += records_from_sim_figure(res, engine=label)
                 names.append(f"{label} ({res.topology_name})")
-        result = wrap_records(records, name=" + ".join(names))
+                networks.append(res.topology_name)
+        result = wrap_records(records, network=" + ".join(networks),
+                              name=" + ".join(names))
         Path(args.report).write_text(render_html(result))
         print(f"html report written to {args.report}")
     return 0

@@ -16,12 +16,13 @@ levels and the collapse between them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.topology.graph import Topology
 from repro.util.rng import SeedLike, as_rng
+from repro.util.validation import check_tagged
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,31 @@ class Workload:
             )
         return quotas
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Encode as a tagged JSON-ready dict (names, sizes, weights)."""
+        return {
+            "type": "workload",
+            "version": 1,
+            "clusters": [
+                {
+                    "name": c.name,
+                    "num_processes": c.num_processes,
+                    "comm_weight": c.comm_weight,
+                }
+                for c in self.clusters
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "Workload":
+        """Decode a :meth:`to_dict` payload; ``ValueError`` if it is not one."""
+        check_tagged(d, "workload")
+        return cls([
+            LogicalCluster(c["name"], c["num_processes"],
+                           comm_weight=c.get("comm_weight", 1.0))
+            for c in d["clusters"]
+        ])
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{c.name}:{c.num_processes}" for c in self.clusters)
         return f"Workload({inner})"
@@ -175,6 +201,20 @@ class Partition:
         labels = self.labels.copy()
         labels[a], labels[b] = labels[b], labels[a]
         return Partition(labels)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Encode as a tagged JSON-ready dict (the ``--save`` file form)."""
+        return {
+            "type": "partition",
+            "version": 1,
+            "labels": [int(x) for x in self.labels],
+        }
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "Partition":
+        """Decode a :meth:`to_dict` payload; ``ValueError`` if it is not one."""
+        check_tagged(d, "partition")
+        return cls(d["labels"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):

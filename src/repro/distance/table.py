@@ -52,19 +52,6 @@ class DistanceTable:
         """Element-wise square ``T_ij²`` — the quantity the quality functions sum."""
         return self.values ** 2
 
-    def to_dict(self) -> dict:
-        """Serializable representation (used by example scripts to cache tables)."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DistanceTable":
-        return cls(np.asarray(d["values"], dtype=float), kind=d.get("kind", "equivalent"),
-                   name=d.get("name", ""))
-
     def __repr__(self) -> str:
         return f"DistanceTable(name={self.name!r}, kind={self.kind!r}, n={self.num_nodes})"
 

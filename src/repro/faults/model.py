@@ -3,8 +3,8 @@
 A :class:`FaultScenario` is an immutable, order-normalized description of a
 set of *permanent* faults — failed inter-switch links and failed switches
 (a failed switch takes its hosts and every incident link down with it).
-Scenarios are values: hashable, comparable, serializable (see
-:mod:`repro.serialize`) and independent of any particular topology until
+Scenarios are values: hashable, comparable, JSON-serializable (the
+service wire carries them) and independent of any particular topology until
 :meth:`FaultScenario.validate` or :func:`repro.faults.degrade.degrade`
 binds them to one.
 
@@ -27,6 +27,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.topology.graph import Link, Topology, _normalize_link
 from repro.util.rng import SeedLike, as_rng
+from repro.util.validation import check_tagged
 
 
 def _normalize_links(links: Iterable[Link]) -> Tuple[Link, ...]:
@@ -103,16 +104,19 @@ class FaultScenario:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (see :mod:`repro.serialize`)."""
+        """Encode as a tagged JSON-ready dict (the request wire form)."""
         return {
             "links": [list(l) for l in self.links],
             "switches": list(self.switches),
             "name": self.name,
+            "type": "fault_scenario",
+            "version": 1,
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FaultScenario":
-        """Inverse of :meth:`to_dict`."""
+        """Decode a :meth:`to_dict` payload; ``ValueError`` if it is not one."""
+        check_tagged(d, "fault_scenario")
         return cls(
             links=tuple(tuple(l) for l in d.get("links", ())),
             switches=tuple(d.get("switches", ())),

@@ -41,8 +41,7 @@ class TraceEvent:
     """Typed view of one trace record (a span or a point event).
 
     The tracer emits plain dicts for speed; this dataclass is the parsed
-    form used by :mod:`repro.obs.report` and by
-    :mod:`repro.serialize` round-trips.  ``kind`` is ``"span"`` or
+    form used by :mod:`repro.obs.report`.  ``kind`` is ``"span"`` or
     ``"event"``; spans carry a ``duration``, events do not.
     """
 

@@ -7,8 +7,8 @@ that comparison an artifact instead of a scroll of text tables:
 
 - :mod:`repro.reporting.study`   — a declarative *variation study*: a
   grid of schedule variations (mappings x fault sets x engines) executed
-  through the existing sweep machinery, one serialize-
-  round-trippable :class:`VariationRecord` per cell with ``C_c``,
+  through the existing sweep machinery, one JSON-round-trippable
+  :class:`VariationRecord` per cell with ``C_c``,
   replicated latency/throughput confidence intervals, the fault study's
   repair gap and the cell's cache/engine counters;
 - :mod:`repro.reporting.render`  — the comparative markdown renderer:

@@ -167,6 +167,18 @@ def render_html(result: VariationStudyResult) -> str:
         f"<code>{_esc(base.name)}</code>."
         if regressions else
         f"No variation regressed vs <code>{_esc(base.name)}</code>.")
+    grid = (f"{1 + spec.num_random} mappings &times; "
+            f"{len(spec.fault_sets)} fault sets\n&times; "
+            f"{len(spec.engines)} engines = {spec.cells} cells &middot;\n"
+            f"{len(result.rates)} load rates")
+    if result.network is not None:
+        meta = f"network <code>{_esc(result.network)}</code> &middot;\n{grid}"
+    else:
+        meta = (f"topology <code>{_esc(spec.topology)}</code>\n"
+                f"({spec.switches} switches, topology seed "
+                f"{spec.topology_seed}) &middot;\n{grid} &times; "
+                f"{spec.replications} replications\n"
+                f"&middot; study seed {spec.seed}")
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -178,12 +190,7 @@ def render_html(result: VariationStudyResult) -> str:
 </head>
 <body>
 <h1>Variation study: {_esc(spec.name)}</h1>
-<p class="meta">topology <code>{_esc(spec.topology)}</code>
-({spec.switches} switches, topology seed {spec.topology_seed}) &middot;
-{1 + spec.num_random} mappings &times; {len(spec.fault_sets)} fault sets
-&times; {len(spec.engines)} engines = {spec.cells} cells &middot;
-{len(result.rates)} load rates &times; {spec.replications} replications
-&middot; study seed {spec.seed}</p>
+<p class="meta">{meta}</p>
 <h2>Estimated cost vs measured throughput</h2>
 {scatter_svg(result.records, base.name)}
 <h2>Cells</h2>

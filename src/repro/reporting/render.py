@@ -93,18 +93,26 @@ def render_markdown(result: VariationStudyResult) -> str:
     """The full comparative report as GitHub-flavoured markdown."""
     spec = result.spec
     base = baseline_record(result)
+    grid = (f"- grid: {1 + spec.num_random} mappings x "
+            f"{len(spec.fault_sets)} fault sets x {len(spec.engines)} "
+            f"engines = {spec.cells} cells")
+    if result.network is not None:
+        header = [f"- network: `{result.network}`", grid,
+                  f"- measurement: {len(result.rates)} load rates"]
+    else:
+        header = [
+            f"- topology: `{spec.topology}` ({spec.switches} switches, "
+            f"seed {spec.topology_seed})",
+            grid,
+            f"- measurement: {len(result.rates)} load rates x "
+            f"{spec.replications} replications "
+            f"({spec.warmup_cycles}+{spec.measure_cycles} cycles), seed "
+            f"{spec.seed}",
+        ]
     lines: List[str] = [
         f"# Variation study: {spec.name}",
         "",
-        f"- topology: `{spec.topology}` ({spec.switches} switches, "
-        f"seed {spec.topology_seed})",
-        f"- grid: {1 + spec.num_random} mappings x "
-        f"{len(spec.fault_sets)} fault sets x {len(spec.engines)} engines "
-        f"= {spec.cells} cells",
-        f"- measurement: {len(result.rates)} load rates x "
-        f"{spec.replications} replications "
-        f"({spec.warmup_cycles}+{spec.measure_cycles} cycles), seed "
-        f"{spec.seed}",
+        *header,
         f"- baseline: `{base.name}`",
         "",
         "## Cells",

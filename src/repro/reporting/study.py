@@ -50,6 +50,7 @@ from repro.simulation.traffic import IntraClusterTraffic
 from repro.topology.designed import four_rings_topology
 from repro.topology.irregular import random_irregular_topology
 from repro.util.rng import derive_seed
+from repro.util.validation import check_tagged
 
 PathLike = Union[str, Path]
 
@@ -144,9 +145,7 @@ class StudySpec:
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "StudySpec":
         """Decode a spec payload (unknown keys rejected)."""
-        if d.get("type") != _SPEC_TYPE:
-            raise ValueError(
-                f"expected a {_SPEC_TYPE!r} payload, got {d.get('type')!r}")
+        check_tagged(d, _SPEC_TYPE, _VERSION)
         known = set(cls.__dataclass_fields__) | {"type", "version"}
         unknown = set(d) - known
         if unknown:
@@ -263,9 +262,7 @@ def validate_variation_record(d: Any) -> None:
     """
     if not isinstance(d, dict):
         raise ValueError(f"record payload must be a dict, got {type(d).__name__}")
-    if d.get("type") != _RECORD_TYPE:
-        raise ValueError(
-            f"expected a {_RECORD_TYPE!r} payload, got {d.get('type')!r}")
+    check_tagged(d, _RECORD_TYPE, _VERSION)
     missing = [k for k in _RECORD_REQUIRED if k not in d]
     if missing:
         raise ValueError(f"record missing keys: {missing}")
@@ -309,11 +306,18 @@ def validate_variation_record(d: Any) -> None:
 
 @dataclass
 class VariationStudyResult:
-    """Every cell of one executed study, plus the spec that produced it."""
+    """Every cell of one executed study, plus the spec that produced it.
+
+    ``network`` is set only on results :func:`wrap_records` packaged from
+    adapter records: it names the network(s) they were measured on, and
+    report headers show it instead of the synthetic spec's topology,
+    seeds and measurement plan, which the adapter does not have.
+    """
 
     spec: StudySpec
     records: List[VariationRecord]
     rates: List[float]
+    network: Optional[str] = None
 
     def record(self, name: str) -> VariationRecord:
         """The cell called ``name`` (``mapping/fault_set/engine``)."""
@@ -595,9 +599,9 @@ def records_from_fault_study(res: FaultStudyResult) -> List[VariationRecord]:
 def wrap_records(
     records: Sequence[VariationRecord],
     *,
+    network: str,
     name: str = "adapter",
     baseline: str = "OP",
-    switches: int = 16,
 ) -> VariationStudyResult:
     """Package adapter records into a renderable study result.
 
@@ -605,7 +609,9 @@ def wrap_records(
     the renderers want a :class:`VariationStudyResult`.  The spec built
     here is synthetic scaffolding — its grid coordinates are recovered
     from the records so the report header and baseline lookup work, and
-    it never drives any execution.
+    it never drives any execution.  ``network`` names what the records
+    were measured on; the header prints it in place of the spec's
+    topology and seeds.
     """
     if not records:
         raise ValueError("cannot wrap an empty record list")
@@ -622,7 +628,6 @@ def wrap_records(
     rates = max((r.rates for r in records), key=len, default=[])
     spec = StudySpec(
         name=name,
-        switches=switches,
         num_random=len(mappings) - 1,
         fault_sets=tuple(fault_sets),
         num_rates=max(2, len(rates)),
@@ -634,7 +639,7 @@ def wrap_records(
     # it carries those labels past the engine-name check.
     object.__setattr__(spec, "engines", tuple(engines))
     return VariationStudyResult(spec=spec, records=list(records),
-                                rates=list(rates))
+                                rates=list(rates), network=network)
 
 
 __all__ = [

@@ -43,6 +43,7 @@ from repro.search.random_search import RandomSearch
 from repro.search.tabu import TabuSearch
 from repro.simulation.engine import ENGINE_NAMES
 from repro.topology.graph import Topology
+from repro.util.validation import check_tagged
 
 PROTOCOL_VERSION = 1
 
@@ -169,9 +170,18 @@ def _number_field(d: Dict[str, Any], key: str, what: str, *, default=None,
     return float(value)
 
 
+def _require_tagged(d: Any, tag: str) -> None:
+    """Check a wire type's ``type`` tag and ``version``; ProtocolError if off."""
+    _require_dict(d, tag)
+    try:
+        check_tagged(d, tag, PROTOCOL_VERSION)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
 def _decode_via(decoder, payload: Any, what: str):
-    """Run one of :mod:`repro.serialize`'s decoders, mapping failures
-    (wrong tag, bad field types, inconsistent shapes) to ProtocolError."""
+    """Run a value class's ``from_dict``, mapping failures (wrong tag,
+    bad field types, inconsistent shapes) to ProtocolError."""
     _require_dict(payload, what)
     try:
         return decoder(payload)
@@ -303,20 +313,18 @@ class ScheduleRequest:
 
     def to_dict(self) -> Dict[str, Any]:
         """Encode as a tagged JSON-ready dict (the wire form)."""
-        from repro import serialize
-
         d: Dict[str, Any] = {
             "type": "schedule_request",
             "version": PROTOCOL_VERSION,
-            "topology": serialize.topology_to_dict(self.topology),
-            "workload": serialize.workload_to_dict(self.workload),
+            "topology": self.topology.to_dict(),
+            "workload": self.workload.to_dict(),
             "method": self.method,
             "params": dict(self.params),
             "seed": self.seed,
             "priority": self.priority,
         }
         if self.faults is not None:
-            d["faults"] = serialize.fault_scenario_to_dict(self.faults)
+            d["faults"] = self.faults.to_dict()
         if self.simulate is not None:
             d["simulate"] = self.simulate.to_dict()
         return d
@@ -324,19 +332,7 @@ class ScheduleRequest:
     @classmethod
     def from_dict(cls, d: Any) -> "ScheduleRequest":
         """Decode and validate a wire payload; raise ProtocolError if bad."""
-        from repro import serialize
-
-        _require_dict(d, "schedule_request")
-        if d.get("type") != "schedule_request":
-            raise ProtocolError(
-                f"expected a 'schedule_request' payload, got {d.get('type')!r}"
-            )
-        version = d.get("version", 1)
-        if not isinstance(version, int) or version > PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"request version {version!r} is newer than supported "
-                f"({PROTOCOL_VERSION})"
-            )
+        _require_tagged(d, "schedule_request")
         _check_keys(
             d,
             required={"type", "topology", "workload"},
@@ -350,14 +346,14 @@ class ScheduleRequest:
                                 f"got {method!r}")
         params = d.get("params", {})
         _require_dict(params, "schedule_request.params")
-        topology = _decode_via(serialize.topology_from_dict, d["topology"],
+        topology = _decode_via(Topology.from_dict, d["topology"],
                                "schedule_request.topology")
-        workload = _decode_via(serialize.workload_from_dict, d["workload"],
+        workload = _decode_via(Workload.from_dict, d["workload"],
                                "schedule_request.workload")
         faults = None
         if d.get("faults") is not None:
-            faults = _decode_via(serialize.fault_scenario_from_dict,
-                                 d["faults"], "schedule_request.faults")
+            faults = _decode_via(FaultScenario.from_dict, d["faults"],
+                                 "schedule_request.faults")
         simulate = None
         if d.get("simulate") is not None:
             simulate = SimulateSpec.from_dict(d["simulate"])
@@ -430,8 +426,6 @@ class ScheduleResponse:
         Byte-for-byte identical for identical requests regardless of the
         serving path; the store persists exactly this dict.
         """
-        from repro import serialize
-
         d: Dict[str, Any] = {
             "type": "schedule_response",
             "version": PROTOCOL_VERSION,
@@ -439,7 +433,7 @@ class ScheduleResponse:
             "topology_name": self.topology_name,
             "method": self.method,
             "seed": self.seed,
-            "partition": (serialize.partition_to_dict(self.partition)
+            "partition": (self.partition.to_dict()
                           if self.partition is not None else None),
             "f_g": self.f_g,
             "d_g": self.d_g,
@@ -451,19 +445,7 @@ class ScheduleResponse:
 
     @classmethod
     def from_dict(cls, d: Any) -> "ScheduleResponse":
-        from repro import serialize
-
-        _require_dict(d, "schedule_response")
-        if d.get("type") != "schedule_response":
-            raise ProtocolError(
-                f"expected a 'schedule_response' payload, got {d.get('type')!r}"
-            )
-        version = d.get("version", 1)
-        if not isinstance(version, int) or version > PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"response version {version!r} is newer than supported "
-                f"({PROTOCOL_VERSION})"
-            )
+        _require_tagged(d, "schedule_response")
         _check_keys(
             d,
             required={"type", "fingerprint", "topology_name", "method",
@@ -480,8 +462,7 @@ class ScheduleResponse:
             )
         partition = None
         if d.get("partition") is not None:
-            partition = _decode_via(serialize.partition_from_dict,
-                                    d["partition"],
+            partition = _decode_via(Partition.from_dict, d["partition"],
                                     "schedule_response.partition")
         for key in ("f_g", "d_g", "c_c"):
             value = d.get(key)
@@ -567,11 +548,7 @@ class ServiceStatus:
 
     @classmethod
     def from_dict(cls, d: Any) -> "ServiceStatus":
-        _require_dict(d, "service_status")
-        if d.get("type") != "service_status":
-            raise ProtocolError(
-                f"expected a 'service_status' payload, got {d.get('type')!r}"
-            )
+        _require_tagged(d, "service_status")
         required = {"type", "package_version", "uptime_seconds",
                     "requests_total", "served", "rejected", "queue_depth",
                     "queue_capacity", "inflight", "store", "pool"}

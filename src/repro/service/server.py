@@ -90,6 +90,11 @@ from repro.service.wal import WriteAheadLog
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
 
+#: Status counter of a failed job by its error code; every other code
+#: (the job's own exception, a crash past the re-dispatch budget) is
+#: counted as ``failed``.
+_FAILURE_COUNTERS = {"deadline": "deadline", "degraded": "rejected_degraded"}
+
 
 class ServiceStartupError(RuntimeError):
     """The daemon failed to come up (bind failure, startup hang, …)."""
@@ -346,8 +351,10 @@ class SchedulerService:
                 self.config.executor, self._job_seq, job.payload)
         except Exception as exc:
             # The client gets an explicit typed error — the request is
-            # settled, so the journal entry is too.
-            self._counters["failed"] += 1
+            # settled, so the journal entry is too.  Counted here, once
+            # per job under its own code, however many clients wait.
+            code = getattr(exc, "code", None)
+            self._counters[_FAILURE_COUNTERS.get(code, "failed")] += 1
             self._wal_done(job.fingerprint)
             if not job.future.done():
                 job.future.set_exception(exc)
@@ -528,20 +535,16 @@ class SchedulerService:
         return deadline * (self.config.max_redispatch + 2) + 30.0
 
     def _error_reply(self, exc: BaseException) -> Dict[str, Any]:
-        """Map an exception to a typed error envelope (+ counters)."""
+        """Map a job's exception to a typed error envelope.
+
+        Counts nothing: the job was counted once when it failed (or was
+        shed), not once per waiting client.
+        """
         code = getattr(exc, "code", None) or "failed"
         extra: Dict[str, Any] = {}
         retry_after = getattr(exc, "retry_after", None)
         if retry_after is not None:
             extra["retry_after"] = round(float(retry_after), 3)
-        if code == "shed":
-            pass          # counted at shed time, not per waiter
-        elif code == "degraded":
-            self._counters["rejected_degraded"] += 1
-        elif code == "deadline":
-            self._counters["deadline"] += 1
-        else:
-            self._counters["failed"] += 1
         message = str(exc) or type(exc).__name__
         if code == "failed":
             message = f"{type(exc).__name__}: {exc}"
@@ -552,14 +555,16 @@ class SchedulerService:
         try:
             result = await asyncio.wait_for(
                 asyncio.shield(future), self._reply_timeout())
-        except asyncio.TimeoutError:
+        except Exception as exc:
+            if future.done():
+                # The job's own error — a supervisor deadline included,
+                # which is a TimeoutError too.
+                return self._error_reply(exc)
             self._counters["deadline"] += 1
             return error_envelope(
                 "deadline",
                 "no result within the service's reply bound; the request "
                 "was dropped")
-        except Exception as exc:
-            return self._error_reply(exc)
         self._counters[f"served_{source}"] += 1
         return ok_envelope(result=result, served={"from": source})
 

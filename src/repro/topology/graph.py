@@ -22,9 +22,11 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.util.validation import check_tagged
 
 Link = Tuple[int, int]
 
@@ -302,6 +304,30 @@ class Topology:
             hosts_per_switch=self._hosts_per_switch,
             switch_ports=self._switch_ports,
             name=f"{self.name}-relabeled",
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Encode as a tagged JSON-ready dict (the ``--save`` file form)."""
+        return {
+            "type": "topology",
+            "version": 1,
+            "name": self.name,
+            "num_switches": self._n,
+            "hosts_per_switch": self._hosts_per_switch,
+            "switch_ports": self._switch_ports,
+            "links": [list(l) for l in self._links],
+        }
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "Topology":
+        """Decode a :meth:`to_dict` payload; ``ValueError`` if it is not one."""
+        check_tagged(d, "topology")
+        return cls(
+            d["num_switches"],
+            [tuple(l) for l in d["links"]],
+            hosts_per_switch=d["hosts_per_switch"],
+            switch_ports=d["switch_ports"],
+            name=d.get("name", ""),
         )
 
     def __eq__(self, other: object) -> bool:

@@ -29,6 +29,22 @@ def check_probability(value: float, name: str) -> None:
     check_in_range(value, name, 0.0, 1.0)
 
 
+def check_tagged(d: Any, tag: str, supported: int = 1) -> None:
+    """Raise ``ValueError`` unless ``d`` is a ``tag`` payload this build reads.
+
+    Every class codec writes ``{"type": tag, "version": n, ...}``; a
+    missing version reads as 1, and a newer or non-integer one is refused
+    rather than half-decoded.
+    """
+    got = d.get("type") if isinstance(d, dict) else type(d).__name__
+    if got != tag:
+        raise ValueError(f"expected a {tag!r} payload, got {got!r}")
+    version = d.get("version", 1)
+    if not isinstance(version, int) or version > supported:
+        raise ValueError(f"{tag} version {version!r} is newer than "
+                         f"supported ({supported})")
+
+
 def check_square_matrix(m: Any, name: str) -> np.ndarray:
     """Coerce to a float ndarray and require it to be square 2-D."""
     a = np.asarray(m, dtype=float)
@@ -41,5 +57,6 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "check_probability",
+    "check_tagged",
     "check_square_matrix",
 ]

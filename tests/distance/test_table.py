@@ -43,13 +43,6 @@ class TestDistanceTable:
         # The paper's normalization: mean T_ij² over unordered pairs.
         assert QualityEvaluator(vals).norm == pytest.approx((1 + 4 + 9) / 3)
 
-    def test_roundtrip_dict(self):
-        t = DistanceTable(np.array([[0.0, 1.5], [1.5, 0.0]]), kind="hops",
-                          name="x")
-        t2 = DistanceTable.from_dict(t.to_dict())
-        assert np.allclose(t.values, t2.values)
-        assert t2.kind == "hops" and t2.name == "x"
-
 
 class TestBuildDistanceTable:
     def test_symmetric_nonneg(self, table16):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import serialize
 from repro.faults.degrade import degrade
 from repro.faults.model import (
     FaultScenario,
@@ -62,9 +61,11 @@ class TestFaultScenario:
         s = FaultScenario(links=[(0, 3), (1, 2)], switches=[4], name="demo")
         assert FaultScenario.from_dict(s.to_dict()) == s
 
-    def test_registered_with_serialize(self):
-        s = FaultScenario(links=[(0, 3)])
-        assert serialize.from_dict(serialize.to_dict(s)) == s
+    def test_dict_is_tagged_and_tag_checked(self):
+        d = FaultScenario(links=[(0, 3)]).to_dict()
+        assert (d["type"], d["version"]) == ("fault_scenario", 1)
+        with pytest.raises(ValueError, match="fault_scenario"):
+            FaultScenario.from_dict({**d, "type": "topology"})
 
 
 class TestGenerators:

@@ -32,7 +32,7 @@ class TestRenderHtml:
             make_record("OP/healthy/fast", peak=1.0, top_latency=10.0),
             make_record("random-1/healthy/fast", peak=0.4, top_latency=40.0),
         ]
-        page = render_html(wrap_records(records, baseline="OP"))
+        page = render_html(wrap_records(records, network="n", baseline="OP"))
         assert 'class="regression"' in page
         assert 'class="baseline"' in page
         assert '<span class="flag">REG</span>' in page
@@ -43,7 +43,7 @@ class TestRenderHtml:
     def test_markup_is_escaped(self):
         records = [make_record("OP/healthy/fast")]
         records[0].name = "OP/<b>evil</b>/fast"
-        page = render_html(wrap_records(records))
+        page = render_html(wrap_records(records, network="n"))
         assert "<b>evil</b>" not in page
         assert "&lt;b&gt;evil&lt;/b&gt;" in page
 

@@ -34,7 +34,8 @@ def synthetic_result():
         make_record("OP/link-0/fast", peak=0.98, top_latency=10.2,
                     repair_gap=0.01),
     ]
-    return wrap_records(records, name="synthetic", baseline="OP")
+    return wrap_records(records, network="synthetic-net", name="synthetic",
+                        baseline="OP")
 
 
 class TestBaselineRecord:
@@ -43,7 +44,7 @@ class TestBaselineRecord:
 
     def test_falls_back_to_the_first_record(self):
         records = [make_record("a/healthy/fast"), make_record("b/x/fast")]
-        result = wrap_records(records, baseline="missing")
+        result = wrap_records(records, network="n", baseline="missing")
         assert baseline_record(result).name == "a/healthy/fast"
 
 
@@ -94,13 +95,20 @@ class TestRenderMarkdown:
     def test_clean_study_has_no_flags(self):
         records = [make_record("OP/healthy/fast"),
                    make_record("random-1/healthy/fast")]
-        text = render_markdown(wrap_records(records, baseline="OP"))
+        text = render_markdown(wrap_records(records, network="n",
+                                             baseline="OP"))
         assert "**REG**" not in text
         assert "No variation regressed" in text
 
     def test_rendering_is_deterministic(self, synthetic_result):
         assert render_markdown(synthetic_result) == \
             render_markdown(synthetic_result)
+
+    def test_adapter_header_states_only_what_it_has(self, synthetic_result):
+        header = render_markdown(synthetic_result).split("## Cells")[0]
+        assert "- network: `synthetic-net`" in header
+        assert "seed" not in header and "replications" not in header
+        assert "topology" not in header
 
     def test_real_study_renders(self, tiny_study):
         text = render_markdown(tiny_study)

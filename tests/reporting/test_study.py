@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import serialize
 from repro.reporting import (
     StudySpec,
     VariationRecord,
@@ -28,9 +27,6 @@ class TestStudySpec:
         path = tmp_path / "spec.json"
         tiny_spec.save(path)
         assert StudySpec.load(path) == tiny_spec
-
-    def test_roundtrip_through_serialize(self, tiny_spec):
-        assert serialize.from_dict(serialize.to_dict(tiny_spec)) == tiny_spec
 
     def test_unknown_keys_rejected(self, tiny_spec):
         payload = tiny_spec.to_dict()
@@ -77,9 +73,7 @@ class TestRunVariationStudy:
             payload = r.to_dict()
             validate_variation_record(payload)
             json.dumps(payload, allow_nan=False)
-            again = serialize.from_dict(payload)
-            assert isinstance(again, VariationRecord)
-            assert again.to_dict() == payload
+            assert VariationRecord.from_dict(payload).to_dict() == payload
 
     def test_measurements_are_parallel_to_rates(self, tiny_spec, tiny_study):
         for r in tiny_study.records:
@@ -206,7 +200,7 @@ class TestAdapters:
 
     def test_wrap_records_recovers_the_grid(self, fig_result):
         records = records_from_sim_figure(fig_result, engine="fig3")
-        result = wrap_records(records, name="wrapped", switches=8)
+        result = wrap_records(records, network="net8", name="wrapped")
         assert result.spec.name == "wrapped"
         assert result.spec.engines == ("fig3",)
         assert result.spec.num_random == 1
@@ -214,4 +208,4 @@ class TestAdapters:
 
     def test_wrap_records_rejects_empty(self):
         with pytest.raises(ValueError):
-            wrap_records([])
+            wrap_records([], network="n")

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.chaos import ChaosProxy
+from repro.chaos import ChaosProxy, ChaoticExecutor, FaultAction, hang_at
 from repro.service import (
     BackpressureError,
     Job,
@@ -26,6 +26,7 @@ from repro.service import (
     ScheduleRequest,
     ServiceClient,
     ServiceConfig,
+    ServiceError,
     ServiceStartupError,
     ServiceStatus,
     execute_request,
@@ -216,6 +217,59 @@ class TestWalReplay:
         assert reply["ok"]
         assert canon(reply["result"]) == canon(
             execute_request(request.to_dict()))
+
+
+class TestFailureCounters:
+    """A failed job counts once, under its own code, however many wait."""
+
+    def error_code(self, address, request):
+        with ServiceClient(*address) as client:
+            with pytest.raises(ServiceError) as exc:
+                client.submit(request)
+        return exc.value.code
+
+    def test_a_job_error_counts_once(self, tmp_path):
+        executor = ChaoticExecutor({1: FaultAction("error")},
+                                   str(tmp_path / "latch"))
+        with running_service(fast_config(executor=executor)) as service:
+            assert self.error_code(service.address,
+                                   small_request()) == "failed"
+            rejected = service.status().rejected
+        assert rejected["failed"] == 1
+
+    def test_folded_waiters_do_not_multiply_the_count(self, tmp_path):
+        # Job 1 holds the only worker, so both clients of job 2 are
+        # waiting on it (one computes, one folds) when it raises.
+        executor = ChaoticExecutor(
+            {1: FaultAction("slow", delay=1.5), 2: FaultAction("error")},
+            str(tmp_path / "latch"))
+        request = small_request(seed=22)
+        with running_service(fast_config(workers=1,
+                                         executor=executor)) as service:
+            with ServiceClient(*service.address) as client:
+                client.submit(small_request(seed=21), wait=False)
+            codes = []
+            waiters = [threading.Thread(target=lambda: codes.append(
+                self.error_code(service.address, request)))
+                for _ in range(2)]
+            for t in waiters:
+                t.start()
+            for t in waiters:
+                t.join()
+            rejected = service.status().rejected
+        assert codes == ["failed", "failed"]
+        assert rejected["failed"] == 1
+
+    def test_a_deadline_counts_as_deadline_only(self, tmp_path):
+        executor = ChaoticExecutor(hang_at(1, delay=30.0),
+                                   str(tmp_path / "latch"))
+        config = fast_config(executor=executor, request_deadline=1.0)
+        with running_service(config) as service:
+            assert self.error_code(service.address,
+                                   small_request()) == "deadline"
+            rejected = service.status().rejected
+        assert rejected["deadline"] == 1
+        assert rejected["failed"] == 0
 
 
 class TestStatusRoundTrip:

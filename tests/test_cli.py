@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro import serialize
 from repro.cli import main
 from repro.core.mapping import Partition
 from repro.obs.schema import validate_trace_file
@@ -23,8 +22,7 @@ class TestTopologyCommand:
         path = tmp_path / "t.json"
         main(["topology", "--switches", "12", "--seed", "1",
               "--save", str(path)])
-        loaded = serialize.load(path)
-        assert isinstance(loaded, Topology)
+        loaded = Topology.from_dict(json.loads(path.read_text()))
         assert loaded.num_switches == 12
 
     def test_four_rings(self, capsys):
@@ -37,8 +35,8 @@ class TestTopologyCommand:
 
     def test_load_wrong_payload(self, tmp_path):
         path = tmp_path / "p.json"
-        serialize.save(Partition([0, 0]), path)
-        with pytest.raises(SystemExit):
+        path.write_text(json.dumps(Partition([0, 0]).to_dict()))
+        with pytest.raises(SystemExit, match="does not contain a topology"):
             main(["topology", "--load", str(path)])
 
 
@@ -54,8 +52,7 @@ class TestScheduleCommand:
         path = tmp_path / "p.json"
         main(["schedule", "--switches", "12", "--seed", "1",
               "--clusters", "3", "--save", str(path)])
-        loaded = serialize.load(path)
-        assert isinstance(loaded, Partition)
+        loaded = Partition.from_dict(json.loads(path.read_text()))
         assert loaded.sizes() == [4, 4, 4]
 
     def test_uneven_clusters_rejected(self):
@@ -194,6 +191,15 @@ class TestFailuresCommand:
         assert "failure injection" in out
         assert "survivable failures: 3/3" in out
 
+    def test_report_header_names_the_real_network(self, tmp_path, capsys):
+        path = tmp_path / "f.html"
+        assert main(["failures", "--kind", "four-rings", "--limit", "1",
+                     "--report", str(path)]) == 0
+        meta = path.read_text().split('<p class="meta">')[1]
+        meta = meta.split("</p>")[0]
+        assert "<code>4x6-rings (24 switches)</code>" in meta
+        assert "seed" not in meta and "replications" not in meta
+
 
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):
@@ -267,14 +273,13 @@ class TestServiceCommands:
         assert printed == execute_request(req.to_dict())
 
     def test_submit_request_file_round_trip(self, service, tmp_path, capsys):
-        from repro import serialize
         from repro.service import ScheduleRequest
         from repro.topology.irregular import random_irregular_topology
 
         topo = random_irregular_topology(8, seed=6)
         req = ScheduleRequest.build(topo, clusters=2, seed=6)
         path = tmp_path / "req.json"
-        serialize.save(req, path)
+        path.write_text(json.dumps(req.to_dict(), indent=2))
         host, port = service.address
         out_path = tmp_path / "resp.json"
         assert main(["submit", "--host", host, "--port", str(port),
@@ -292,13 +297,13 @@ class TestServiceCommands:
         assert "requests:" in out and "store:" in out and "pool:" in out
 
     def test_status_json_is_a_valid_service_status(self, service, capsys):
-        from repro import serialize
+        from repro.service import ServiceStatus
 
         host, port = service.address
         assert main(["status", "--host", host, "--port", str(port),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert serialize.from_dict(payload).queue_capacity == 64
+        assert ServiceStatus.from_dict(payload).queue_capacity == 64
 
     def test_submit_without_a_service_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit, match="no service"):

@@ -1,10 +1,10 @@
-"""Property-based round-trip tests for serialization (hypothesis)."""
+"""Property-based round-trip tests for the class JSON codecs (hypothesis)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import serialize
 from repro.core.mapping import LogicalCluster, Partition, Workload
+from repro.topology.graph import Topology
 from repro.topology.irregular import random_irregular_topology
 
 
@@ -12,7 +12,7 @@ from repro.topology.irregular import random_irregular_topology
 @settings(max_examples=25, deadline=None)
 def test_topology_roundtrip_property(seed, n):
     topo = random_irregular_topology(n, seed=seed)
-    again = serialize.from_dict(serialize.to_dict(topo))
+    again = Topology.from_dict(topo.to_dict())
     assert again == topo
     assert again.hop_distances().tolist() == topo.hop_distances().tolist()
 
@@ -25,7 +25,7 @@ def test_partition_roundtrip_property(raw_labels):
     remap = {old: i for i, old in enumerate(used)}
     labels = [remap.get(x, -1) for x in raw_labels]
     part = Partition(labels)
-    again = serialize.from_dict(serialize.to_dict(part))
+    again = Partition.from_dict(part.to_dict())
     assert again == part
     assert (again.labels == part.labels).all()
 
@@ -41,7 +41,7 @@ def test_workload_roundtrip_property(specs):
         LogicalCluster(f"app{i}", procs, comm_weight=weight)
         for i, (procs, weight) in enumerate(specs)
     ])
-    again = serialize.from_dict(serialize.to_dict(w))
+    again = Workload.from_dict(w.to_dict())
     assert again.num_clusters == w.num_clusters
     for a, b in zip(again.clusters, w.clusters):
         assert (a.name, a.num_processes) == (b.name, b.num_processes)
