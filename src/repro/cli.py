@@ -84,10 +84,20 @@ def _save_json(payload: Dict[str, Any], path: str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _read_json(path: str) -> Any:
+    """The JSON value in ``path``; exits with one line naming the file when
+    it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{path}: cannot read JSON ({exc})")
+
+
 def _build_topology(args: argparse.Namespace) -> Topology:
     if getattr(args, "load", None):
+        payload = _read_json(args.load)
         try:
-            return Topology.from_dict(json.loads(Path(args.load).read_text()))
+            return Topology.from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise SystemExit(
                 f"{args.load} does not contain a topology ({exc})")
@@ -322,7 +332,7 @@ def _build_request(args: argparse.Namespace):
     from repro.service import ProtocolError, ScheduleRequest, SimulateSpec
 
     if getattr(args, "request", None):
-        payload = json.loads(Path(args.request).read_text())
+        payload = _read_json(args.request)
         try:
             return ScheduleRequest.from_dict(payload)
         except ProtocolError as exc:

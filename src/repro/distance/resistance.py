@@ -1,9 +1,10 @@
 """Equivalent electrical resistance of unit-resistor networks.
 
-The classical identity used throughout: with ``L`` the graph Laplacian of
-the resistor network and ``L⁺`` its Moore-Penrose pseudoinverse,
+With ``L`` the graph Laplacian of the resistor network, ground node ``a``
+(replace its row and column of ``L`` by the identity's) and inject a unit
+current at ``b``: the potential ``x`` solving the grounded system gives
 
-    R(a, b) = L⁺[a,a] + L⁺[b,b] - 2 L⁺[a,b].
+    R(a, b) = x[b].
 
 The distance table needs one resistance per switch pair, each over its own
 small network (the links on the pair's shortest legal paths).
@@ -11,12 +12,11 @@ small network (the links on the pair's shortest legal paths).
 the pending ones of each node count together across all sources.  Once a
 size's pending networks fill a stack of ``_STACK_ENTRIES`` matrix entries
 (32 KB of float64; one network per stack if it is larger), they are solved
-in one stacked ``np.linalg.pinv(..., hermitian=True)`` call; what is left
-is solved at the end.  ``eigh`` and ``matmul`` treat each matrix of a stack
-on its own, and each Laplacian is built over its sorted nodes with
-integer-valued entries, so every value is bit-equal to a solve of that
-network alone, whatever the stacking; :func:`equivalent_resistance` is the
-batch of one.
+in one stacked ``np.linalg.solve`` call; what is left is solved at the end.
+``solve`` treats each matrix of a stack on its own, and each Laplacian is
+built over its sorted nodes with integer-valued entries, so every value is
+bit-equal to a solve of that network alone, whatever the stacking;
+:func:`equivalent_resistance` is the batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.topology.graph import Link, bfs_distances
 
-#: Most matrix entries in one stacked pseudoinverse; pending same-size
+#: Most matrix entries in one stacked solve; pending same-size
 #: networks are solved once they fill a stack.
 _STACK_ENTRIES = 1 << 12
 
@@ -69,15 +69,33 @@ def _laplacians(count: int, size: int, owner: np.ndarray, iu: np.ndarray,
 def _solve(laps: np.ndarray, ia: np.ndarray,
            ib: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Resistance between local nodes ``ia[m]`` and ``ib[m]`` of ``laps[m]``,
-    and whether each network is connected.
+    and whether each network is connected.  Grounds ``laps`` in place.
 
-    ``trace(L·L⁺)`` is the rank of ``L``, its size less its number of
-    components; ``pinv`` of a disconnected network returns finite values.
+    A network is connected when the unit current injected at ``ib[m]``
+    all leaves through the ground ``ia[m]``: ``(L·x)[ia[m]] == -1``.  A
+    disconnected network is singular once grounded; when ``solve`` finds
+    one exactly singular it fails the whole stack, so the networks are
+    then solved one by one.
     """
-    pinv = np.linalg.pinv(laps, hermitian=True)
     m = np.arange(len(laps))
-    connected = np.einsum("mij,mji->m", laps, pinv) > laps.shape[1] - 1.5
-    return pinv[m, ia, ia] + pinv[m, ib, ib] - 2.0 * pinv[m, ia, ib], connected
+    source_rows = laps[m, ia]
+    laps[m, ia, :] = 0.0
+    laps[m, :, ia] = 0.0
+    laps[m, ia, ia] = 1.0
+    rhs = np.zeros(laps.shape[:2] + (1,))
+    rhs[m, ib] = 1.0
+    try:
+        x = np.linalg.solve(laps, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(laps.shape[:2], np.nan)
+        for k in m:
+            try:
+                x[k] = np.linalg.solve(laps[k], rhs[k])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    current = np.einsum("mj,mj->m", source_rows, x)
+    connected = np.isfinite(x).all(axis=1) & (np.abs(current + 1.0) <= 1e-9)
+    return x[m, ib], connected
 
 
 def equivalent_resistance(links: Iterable[Link], a: int, b: int) -> float:
@@ -200,6 +218,9 @@ def table_resistances(num_nodes: int, ends: np.ndarray,
 
 def resistance_matrix(num_nodes: int, links: Iterable[Link]) -> np.ndarray:
     """All-pairs equivalent resistance of one connected unit-resistor network.
+
+    All pairs at once through the Moore-Penrose pseudoinverse ``L⁺`` of the
+    Laplacian: ``R(a, b) = L⁺[a,a] + L⁺[b,b] - 2 L⁺[a,b]``.
 
     Utility for tests and for the "raw resistance" ablation (resistance over
     the *whole* topology rather than per-pair shortest-path subnetworks).

@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.core.mapping import Partition
 from repro.parallel import WorkersLike
-from repro.search.base import SearchMethod, SearchResult, SimilarityObjective
-
-_EPS = 1e-12
+from repro.search.base import (_EPS, SearchMethod, SearchResult,
+                               SimilarityObjective)
 
 
 class SimulatedAnnealing(SearchMethod):

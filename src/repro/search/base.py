@@ -17,10 +17,8 @@ from repro.core.mapping import Partition, random_partition
 from repro.core.quality import QualityEvaluator, TableLike
 from repro.obs import trace as _trace
 from repro.parallel import WorkersLike, parallel_map
-from repro.search.state import PartitionState
+from repro.search.state import _EPS, PartitionState
 from repro.util.rng import SeedLike, as_rng, spawn_rngs
-
-_EPS = 1e-12
 
 
 class SimilarityObjective:

@@ -16,10 +16,9 @@ import numpy as np
 
 from repro.core.mapping import Partition
 from repro.parallel import WorkersLike
-from repro.search.base import SearchMethod, SearchResult, SimilarityObjective
+from repro.search.base import (_EPS, SearchMethod, SearchResult,
+                               SimilarityObjective)
 from repro.search.genetic import decode_permutation, order_crossover
-
-_EPS = 1e-12
 
 
 class GeneticSimulatedAnnealing(SearchMethod):

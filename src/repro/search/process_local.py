@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.core.mapping import ProcessMapping, Workload
 from repro.core.quality import TableLike, _as_squared
+from repro.search.base import _EPS
 from repro.topology.graph import Topology
 from repro.util.rng import SeedLike, as_rng, spawn_rngs
-
-_EPS = 1e-12
 
 
 def default_weights(workload: Workload) -> np.ndarray:

@@ -21,6 +21,13 @@ import numpy as np
 from repro.core.mapping import Partition
 from repro.core.quality import QualityEvaluator
 
+#: Tolerance on ``F_G`` values and deltas: the distance table is exact
+#: only to its last few bits, so values closer than this count as equal in
+#: Tabu's tie rule (:meth:`PartitionState.best_swaps`), the multi-start
+#: merge and each method's new-best test.  Defined here, below every
+#: method; ``search.base`` re-exports it.
+_EPS = 1e-12
+
 
 class PartitionState:
     """Mutable search state over a fixed distance table and cluster sizes."""
@@ -91,10 +98,14 @@ class PartitionState:
         tabu list masks the improving move; ``free_delta`` is ``inf`` when
         the neighbourhood is empty.
 
+        Ties are judged within ``_EPS``: the pass takes the first allowed
+        candidate, in :meth:`candidate_swaps` order, whose delta is within
+        ``_EPS`` of the allowed minimum, and a forbidden swap is allowed
+        only if it lands more than ``_EPS`` below ``aspiration_below``.  So
+        rounding noise in the table cannot pick between swaps that tie.
         The whole neighbourhood is one array expression over the assigned
         switches, in :meth:`swap_delta`'s operation order, so every delta is
-        bit-equal to the scalar one; ``argmin`` returns the first minimum in
-        :meth:`candidate_swaps` order.
+        bit-equal to the scalar one.
         """
         asg = self._assigned
         if self._pair_consts is None:
@@ -124,13 +135,15 @@ class PartitionState:
             fi, fj = pos[np.array(list(forbidden), dtype=np.int64).T]
             ok = (fi >= 0) & (fi < fj)
             fi, fj = fi[ok], fj[ok]
-            barred = ~(self.value() + deltas[fi, fj] < aspiration_below)
+            barred = ~(self.value() + deltas[fi, fj] < aspiration_below - _EPS)
             deltas[fi[barred], fj[barred]] = np.inf
-        i, j = np.unravel_index(np.argmin(deltas), deltas.shape)
-        best_delta = float(deltas[i, j])
-        if best_delta == np.inf:
+            low = float(deltas.min())
+        else:
+            low = free_delta
+        if low == np.inf:
             return None, 0.0, free_delta
-        return (int(asg[i]), int(asg[j])), best_delta, free_delta
+        i, j = np.unravel_index(np.argmax(deltas <= low + _EPS), deltas.shape)
+        return (int(asg[i]), int(asg[j])), float(deltas[i, j]), free_delta
 
     # -- misc --------------------------------------------------------------#
 

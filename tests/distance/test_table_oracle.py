@@ -2,11 +2,13 @@
 
 ``shortest_path_supports`` computes one source's shortest-path link sets
 in a single array expression, and ``build_distance_table`` solves the
-resistor networks of all sources in stacked pseudoinverses of equal-size
+resistor networks of all sources in stacked grounded solves of equal-size
 networks.  The oracles below are the per-pair computations they replaced:
 a state-edge scan per pair over a state graph and BFS of their own, built
 only from the public ``is_up`` and ``topology.links``, and one dense
-Laplacian and ``pinv`` per pair.  Results must be equal bit for bit.
+Laplacian and ``pinv`` per pair.  Supports must be equal; resistances
+agree with the ``pinv`` oracle to 1e-12 relative, and bit for bit with
+``equivalent_resistance`` on the same support.
 """
 
 from collections import deque
@@ -132,7 +134,22 @@ def test_supports_and_table_match_oracle(n, seed, degree):
                 row = frozenset(links[k] for k in np.flatnonzero(supports[dst]))
                 assert row == oracle_links(routing, src, dst), (routing.name, src, dst)
         table = build_distance_table(routing).values
-        assert np.array_equal(table, oracle_table(routing, oracle_links)), routing.name
+        np.testing.assert_allclose(table, oracle_table(routing, oracle_links),
+                                   rtol=1e-12, atol=0, err_msg=routing.name)
+
+
+@pytest.mark.parametrize("n, seed, degree", [(16, 3, 3), (34, 5, 3)])
+def test_table_is_bit_equal_to_equivalent_resistance(n, seed, degree):
+    """Stacking never changes a value: each entry is the batch of one."""
+    for routing, _ in routings(n, seed, degree):
+        links = routing.topology.links
+        table = build_distance_table(routing).values
+        for src in range(n):
+            supports = routing.shortest_path_supports(src)
+            for dst in range(src + 1, n):
+                support = [links[k] for k in np.flatnonzero(supports[dst])]
+                assert table[src, dst] == equivalent_resistance(support, src, dst), \
+                    (routing.name, src, dst)
 
 
 def test_equivalent_resistance_matches_oracle():
@@ -143,7 +160,8 @@ def test_equivalent_resistance_matches_oracle():
                  for _ in range(int(rng.integers(0, 20)))}
         links = sorted(path | extra)
         for a, b in ((0, 11), (3, 4), (7, 2)):
-            assert equivalent_resistance(links, a, b) == oracle_resistance(links, a, b)
+            assert equivalent_resistance(links, a, b) == pytest.approx(
+                oracle_resistance(links, a, b), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("stack_entries", [1, 1 << 30],
@@ -177,3 +195,21 @@ def test_disconnected_support_raises():
                                                [True, True]]))]   # 0 -> 3
     with pytest.raises(ValueError, match="nodes 0 and 3 are not connected"):
         table_resistances(4, np.array(links), sources)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_stack_mixing_connected_and_disconnected_raises(bad):
+    """Three 4-node networks share one stack; the one whose destination
+    sits on a separate component makes the grounded stack exactly
+    singular.  The error names its pair, not ``LinAlgError``."""
+    ends = np.array([(0, 1), (1, 2), (2, 3)])
+    path = np.ones((1, 3), dtype=bool)
+    pairs = [(1, 3), (2, 0)]
+    pairs.insert(bad, (0, 3))
+    sources = [(src, np.array([dst]), path) for src, dst in pairs]
+    table = table_resistances(4, ends, sources)
+    assert [table[src, dst] for src, dst in pairs] == pytest.approx(
+        [{(0, 3): 3.0}.get(pair, 2.0) for pair in pairs], rel=1e-12)
+    sources[bad] = (0, np.array([3]), np.array([[True, False, True]]))
+    with pytest.raises(ValueError, match="nodes 0 and 3 are not connected"):
+        table_resistances(4, ends, sources)

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mapping import Partition, random_partition
 from repro.core.quality import QualityEvaluator
 from repro.search.base import SimilarityObjective
-from repro.search.state import PartitionState
+from repro.search.state import _EPS, PartitionState
 
 
 def oracle_best_swaps(state, forbidden=None, aspiration_below=float("-inf")):
     """The scalar neighbourhood pass ``PartitionState.best_swaps`` replaces:
-    one ``swap_delta`` per candidate pair, first minimum in pair order."""
-    best_pair = None
-    best_delta = float("inf")
+    one ``swap_delta`` per candidate pair; the first allowed pair in pair
+    order within ``_EPS`` of the allowed minimum."""
+    allowed = []
     free_delta = float("inf")
     current = state.value()
     for pair in state.candidate_swaps():
@@ -22,14 +22,14 @@ def oracle_best_swaps(state, forbidden=None, aspiration_below=float("-inf")):
         if delta < free_delta:
             free_delta = delta
         if forbidden and pair in forbidden:
-            if not (current + delta < aspiration_below):
+            if not (current + delta < aspiration_below - _EPS):
                 continue
-        if delta < best_delta:
-            best_delta = delta
-            best_pair = pair
-    if best_pair is None:
+        allowed.append((pair, delta))
+    if not allowed:
         return None, 0.0, free_delta
-    return best_pair, best_delta, free_delta
+    low = min(delta for _, delta in allowed)
+    return next((pair, delta) for pair, delta in allowed
+                if delta <= low + _EPS) + (free_delta,)
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def swap_cases(draw):
         a, b = (int(x) for x in rng.integers(0, n, size=2))
         forbidden.add((a, b))  # reversed, same-cluster or unassigned pairs
     # "boundary" puts the best tabu move exactly on the aspiration level,
-    # where the strict comparison bars it.
+    # where the ``_EPS`` margin bars it.
     tabu_deltas = [state.swap_delta(*p) for p in pairs if p in forbidden]
     aspiration = draw(st.sampled_from(["-inf", "current", "random", "boundary"]))
     level = {"-inf": float("-inf"), "current": state.value(),

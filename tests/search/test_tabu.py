@@ -1,5 +1,6 @@
 """Tests for the paper's Tabu search."""
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import Partition, random_partition
@@ -190,3 +191,27 @@ class TestVectorisedNeighbourhood:
         assert fast.evaluations == slow.evaluations
         assert fast.iterations == slow.iterations
         assert fast.meta == slow.meta
+
+
+class TestTableNoise:
+    @pytest.mark.parametrize("n, clusters", [(16, 4), (24, 4), (32, 4), (64, 8)])
+    def test_last_bits_of_the_table_do_not_steer_the_search(self, n, clusters):
+        """Symmetric 1e-14 relative noise, far below any real difference
+        of ``F_G`` but enough to reorder exact ties, leaves every decision
+        of the search as it was."""
+        topo = random_irregular_topology(n, seed=derive_seed(7, "noise", n))
+        table = build_distance_table(UpDownRouting(topo)).values
+        sizes = [n // clusters] * clusters
+        want = TabuSearch().run(SimilarityObjective(table, sizes), seed=3)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            noise = np.triu(rng.standard_normal((n, n)), 1) * 1e-14
+            noisy = table * (1.0 + noise + noise.T)
+            got = TabuSearch().run(SimilarityObjective(noisy, sizes), seed=3)
+            assert got.best_partition.canonical_key() == \
+                want.best_partition.canonical_key()
+            assert got.meta == want.meta
+            assert (got.iterations, got.evaluations) == \
+                (want.iterations, want.evaluations)
+            assert len(got.trace) == len(want.trace)
+            np.testing.assert_allclose(got.trace, want.trace, rtol=1e-12)

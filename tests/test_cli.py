@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
@@ -37,6 +38,11 @@ class TestTopologyCommand:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(Partition([0, 0]).to_dict()))
         with pytest.raises(SystemExit, match="does not contain a topology"):
+            main(["topology", "--load", str(path)])
+
+    def test_load_missing_file_names_it(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: cannot read"):
             main(["topology", "--load", str(path)])
 
 
@@ -309,6 +315,12 @@ class TestServiceCommands:
         with pytest.raises(SystemExit, match="no service"):
             main(["submit", "--host", "127.0.0.1", "--port", "1",
                   "--switches", "8"])
+
+    def test_truncated_request_file_names_it(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"type": "schedule_request", "vers')
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: cannot read"):
+            main(["submit", "--port", "1", "--request", str(path)])
 
     def test_bad_request_file_fails_cleanly(self, service, tmp_path):
         host, port = service.address
