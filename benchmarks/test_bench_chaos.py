@@ -80,7 +80,7 @@ def _recovery_phase():
                 assert _canon(reply["result"]) \
                     == _canon(execute_request(request.to_dict())), \
                     "post-kill reply diverged"
-        restarts = service.supervisor.status()["restarts"]
+        restarts = service.status().supervisor["restarts"]
     return {
         "kills": KILLS,
         "baseline_latency_ms": round(

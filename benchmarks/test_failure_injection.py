@@ -9,7 +9,11 @@ rescheduled mapping out-delivers the stale one on the degraded network.
 from conftest import run_once
 
 from repro.core.scheduler import CommunicationAwareScheduler
-from repro.experiments.failures import render_fault_study, run_fault_study
+from repro.experiments.failures import (
+    render_fault_study,
+    render_repair_timing,
+    run_fault_study,
+)
 from repro.faults.model import single_link_scenarios
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
@@ -22,6 +26,7 @@ def test_failure_injection(benchmark, setup16, bench_config, record):
     scenarios = single_link_scenarios(setup16.topology)
     res = run_once(benchmark, lambda: run_fault_study(setup16, scenarios))
     record("failure_injection", render_fault_study(res))
+    print(render_repair_timing(res))
 
     assert all(r.connected for r in res.rows), \
         "the 3-regular evaluation network must survive any single failure"

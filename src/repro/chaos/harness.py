@@ -176,7 +176,7 @@ def scenario_worker_crash(seed: int, workdir: Path) -> ScenarioResult:
             for request in _requests(2, seed=seed):
                 outcomes.append(_classify_reply(
                     request, lambda r=request: client.submit(r)))
-        stats = service.supervisor.status()
+        stats = service.status().supervisor
     ok = (all(o.ok for o in outcomes)
           and all(o.outcome == "reply" for o in outcomes)
           and stats["restarts"] >= 1 and stats["redispatches"] >= 1)
@@ -200,7 +200,7 @@ def scenario_worker_hang(seed: int, workdir: Path) -> ScenarioResult:
                 requests[0], lambda: client.submit(requests[0])))
             outcomes.append(_classify_reply(
                 requests[1], lambda: client.submit(requests[1])))
-        stats = service.supervisor.status()
+        stats = service.status().supervisor
     elapsed = time.monotonic() - start
     ok = (outcomes[0].outcome == "typed-error"
           and outcomes[0].code == "deadline"
@@ -235,7 +235,7 @@ def scenario_crash_loop(seed: int, workdir: Path) -> ScenarioResult:
                     request, lambda r=request: client.submit(r)))
             alive = bool(client.ping().get("ok"))
             status = client.status()
-        stats = service.supervisor.status()
+        stats = service.status().supervisor
     degraded = [o for o in outcomes[1:] if o.code == "degraded"]
     ok = (outcomes[0].outcome == "typed-error"
           and outcomes[0].code in ("crashed", "degraded")
@@ -349,7 +349,8 @@ def scenario_store_corruption(seed: int, workdir: Path) -> ScenarioResult:
             outcomes.append(_classify_reply(
                 request, lambda: client.submit(request)))
         stats = {"corrupted": corrupted,
-                 "corruptions_detected": service.store.stats().corruptions}
+                 "corruptions_detected":
+                     service.status().store["corruptions"]}
     ok = (corrupted and all(o.ok for o in outcomes)
           and all(o.outcome == "reply" for o in outcomes)
           and stats["corruptions_detected"] >= 1)
@@ -385,7 +386,7 @@ def scenario_pool_death(seed: int, workdir: Path) -> ScenarioResult:
         thread.join(timeout=REQUEST_BOUND_SECONDS)
         hung = thread.is_alive()
         outcomes.extend(holder)
-        stats = {**service.supervisor.status(), "killed": killed}
+        stats = {**service.status().supervisor, "killed": killed}
     if hung:
         outcomes.append(RequestOutcome(request.fingerprint(), "violation",
                                        detail="submit never returned"))
@@ -444,7 +445,8 @@ def scenario_wal_replay(seed: int, workdir: Path) -> ScenarioResult:
                 outcomes.append(RequestOutcome(
                     ticket, "reply", byte_identical=identical,
                     detail="" if identical else "payload bytes differ"))
-        stats = {"replayed": service._counters.get("replayed", 0),
+        replays = service.metrics.counter("service.wal.replays").value
+        stats = {"replayed": int(replays),
                  "wal": dict(service.wal.status())}
     ok = (len(accepted) == len(requests)
           and stats["replayed"] == len(requests)

@@ -236,6 +236,7 @@ def cmd_failures(args: argparse.Namespace) -> int:
     from repro.experiments.common import ExperimentSetup
     from repro.experiments.failures import (
         render_fault_study,
+        render_repair_timing,
         run_fault_study,
     )
     from repro.faults.model import (
@@ -269,6 +270,9 @@ def cmd_failures(args: argparse.Namespace) -> int:
     res = run_fault_study(setup, scenarios, seed=1, workers=args.workers,
                           checkpoint_path=args.resume)
     print(render_fault_study(res))
+    timing = render_repair_timing(res)
+    if timing:
+        print(timing)
     if args.report:
         from repro.reporting import (
             records_from_fault_study,
@@ -423,10 +427,8 @@ def cmd_status(args: argparse.Namespace) -> int:
     s = d["served"]
     print(f"  served:         computed={s['computed']} store={s['store']} "
           f"inflight={s['inflight']}")
-    r = d["rejected"]
-    print(f"  rejected:       backpressure={r['backpressure']} "
-          f"admission={r['admission']} protocol={r['protocol']} "
-          f"failed={r['failed']}")
+    print("  rejected:       "
+          + " ".join(f"{k}={v}" for k, v in d["rejected"].items()))
     print(f"queue:            {d['queue_depth']}/{d['queue_capacity']} "
           f"pending, {d['inflight']} in flight")
     st = d["store"]
@@ -435,6 +437,13 @@ def cmd_status(args: argparse.Namespace) -> int:
     p = d["pool"]
     print(f"pool:             {p['workers']} workers "
           f"({'active' if p['active'] else 'idle'})")
+    sup = d.get("supervisor")
+    if sup is not None:
+        print(f"supervisor:       {sup['restarts']} restarts, "
+              f"{sup['redispatches']} redispatches, "
+              f"breaker {sup['breaker']['state']}")
+    if d.get("wal") is not None:
+        print(f"wal:              {d['wal']['pending']} pending")
     return 0
 
 

@@ -18,7 +18,6 @@ from repro.distance.resistance import (
 )
 from repro.distance.table import DistanceTable, build_distance_table, hop_distance_table
 from repro.distance.cache import (
-    CacheStats,
     TableCache,
     cached_distance_table,
     cached_routing_table,
@@ -36,7 +35,6 @@ __all__ = [
     "DistanceTable",
     "build_distance_table",
     "hop_distance_table",
-    "CacheStats",
     "TableCache",
     "cached_distance_table",
     "cached_routing_table",

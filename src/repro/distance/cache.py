@@ -11,10 +11,11 @@ so this module memoizes them behind a content-hash key:
 - :func:`routing_cache_key` — the fingerprint plus the routing algorithm's
   class, report name and root (for rooted algorithms like up*/down*).
 
-:class:`TableCache` is a small thread-safe LRU with hit/miss/eviction
-accounting; a module-level default instance backs
-:func:`cached_distance_table` / :func:`cached_routing_table`, which the
-scheduler and experiment setups use.  Caching is semantically invisible —
+:class:`TableCache` is a small thread-safe LRU that counts its hits,
+misses and evictions on the active metrics registry; a module-level
+default instance backs :func:`cached_distance_table` /
+:func:`cached_routing_table`, which the scheduler and experiment setups
+use.  Caching is semantically invisible —
 ``DistanceTable`` values are immutable and ``RoutingTable`` is read-only
 after construction — so it is always on; :func:`configure_cache` only
 flushes it (cold-start measurements do).
@@ -25,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Tuple
 
 from repro.distance.table import (
@@ -69,19 +69,8 @@ def routing_cache_key(routing: RoutingAlgorithm, kind: str) -> Tuple:
     )
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss/eviction counters of one :class:`TableCache`."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-
 class TableCache:
-    """A thread-safe LRU cache with hit/miss/eviction accounting.
+    """A thread-safe LRU cache of immutable tables.
 
     Values are built at most once per key (under the lock — builders here
     are pure and fast relative to contention) and returned by reference;
@@ -95,37 +84,26 @@ class TableCache:
         self.name = str(name)
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it on a miss.
 
-        Each lookup also ticks the ``cache.<name>.{hits,misses,evictions}``
+        Each lookup ticks the ``cache.<name>.{hits,misses,evictions}``
         counters on the active :class:`~repro.obs.metrics.MetricsRegistry`
-        (a no-op when telemetry is off), so traced runs report their
-        table-cache hit rates without polling :meth:`stats`.
+        (a no-op when telemetry is off); ``repro report`` reads them back
+        as the trace's table-cache hit rates.
         """
         with self._lock:
             if key in self._entries:
-                self._hits += 1
+                _metrics.inc(f"cache.{self.name}.hits")
                 self._entries.move_to_end(key)
-                value = self._entries[key]
-                evicted = False
-                hit = True
-            else:
-                self._misses += 1
-                value = builder()
-                self._entries[key] = value
-                evicted = len(self._entries) > self.maxsize
-                if evicted:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-                hit = False
-        _metrics.inc(f"cache.{self.name}.{'hits' if hit else 'misses'}")
-        if evicted:
-            _metrics.inc(f"cache.{self.name}.evictions")
+                return self._entries[key]
+            _metrics.inc(f"cache.{self.name}.misses")
+            value = builder()
+            self._entries[key] = value
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                _metrics.inc(f"cache.{self.name}.evictions")
         return value
 
     def __contains__(self, key: Hashable) -> bool:
@@ -136,22 +114,10 @@ class TableCache:
         with self._lock:
             return len(self._entries)
 
-    def stats(self) -> CacheStats:
-        """Snapshot of the hit/miss/eviction counters and current size."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-            )
-
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop all entries."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
 
 
 _default_cache = TableCache()
@@ -192,7 +158,6 @@ def cached_routing_table(routing: RoutingAlgorithm, *,
 
 
 __all__ = [
-    "CacheStats",
     "TableCache",
     "topology_fingerprint",
     "routing_cache_key",

@@ -19,6 +19,8 @@ time, so the console never holds stale copies and never needs to know
 what it fronts — a live :class:`repro.service.server.SchedulerService`
 or a rendered variation study (``repro report --serve``).  Providers
 run on the event-loop thread; they must be cheap and non-blocking.
+Each answered request is counted as ``service.console.requests`` on the
+active metrics registry (the daemon's, when it fronts one).
 
 No dependency beyond asyncio: HTTP/1.0 with ``Connection: close`` needs
 no keep-alive, no chunking and no pipelining, which keeps the whole
@@ -30,6 +32,8 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Callable, Dict, Optional, Tuple
+
+from repro.obs import metrics as _metrics
 
 MAX_REQUEST_BYTES = 8192        # request line + headers; we accept no body
 REQUEST_TIMEOUT = 5.0           # seconds to receive the full request
@@ -75,7 +79,6 @@ class ConsoleServer:
         self._health = health or (lambda: "ok")
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
-        self.requests_served = 0
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> Tuple[str, int]:
@@ -153,7 +156,7 @@ class ConsoleServer:
                 status, ctype, body = self._route(path)
             except Exception as exc:  # a provider failed; say so, stay up
                 status, ctype, body = 500, "text/plain", f"error: {exc}\n"
-            self.requests_served += 1
+            _metrics.inc("service.console.requests")
             writer.write(_response(status, ctype, body))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass

@@ -77,7 +77,7 @@ from repro.service.server import (
     run_service,
     running_service,
 )
-from repro.service.store import ResultStore, StoreStats
+from repro.service.store import ResultStore
 from repro.service.supervisor import (
     BreakerConfig,
     CircuitBreaker,
@@ -119,7 +119,6 @@ __all__ = [
     "ServiceStatus",
     "ShedError",
     "SimulateSpec",
-    "StoreStats",
     "SupervisorError",
     "WalError",
     "WorkerCrashError",

@@ -506,11 +506,11 @@ class ServiceStatus:
     uptime_seconds: float
     requests_total: int
     served: Dict[str, int]        # computed / store / inflight
-    rejected: Dict[str, int]      # backpressure / admission / protocol / failed
+    rejected: Dict[str, int]      # backpressure / admission / ... / deadline
     queue_depth: int
     queue_capacity: int
     inflight: int
-    store: Dict[str, int]         # size / hits / misses / evictions / expirations
+    store: Dict[str, int]         # size / hits / misses / ... / corruptions
     pool: Dict[str, Any]          # workers / active
     supervisor: Optional[Dict[str, Any]] = None  # restarts / breaker / ...
     wal: Optional[Dict[str, Any]] = None         # path / pending / recovered

@@ -12,15 +12,16 @@ Two failure modes are deliberately distinct:
 The queue is a bounded max-priority heap (higher ``priority`` first, FIFO
 within a priority) exposed through asyncio; the daemon's dispatcher pops
 one job at a time with :meth:`JobQueue.get` whenever a worker slot is
-free.  Queue depth is published as the ``service.queue.depth`` gauge on
-every transition.
+free.  Queue depth is published as the ``service.queue.depth`` gauge from
+creation on, at every transition.
 
 Under overload the queue *sheds*: when a higher-priority request
 arrives at a full queue, the lowest-priority (youngest-within-priority)
 queued job is evicted and failed with :class:`ShedError` — a third typed
 failure mode alongside admission and backpressure, carrying its own
 ``retry_after`` hint — so important work displaces less important work
-instead of being bounced (``service.queue.shed`` counter).
+instead of being bounced (the server counts it as
+``service.rejected.shed``).
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class JobQueue:
         self._queue: "asyncio.PriorityQueue" = \
             asyncio.PriorityQueue(maxsize=self.max_pending)
         self._arrival = itertools.count()
+        _metrics.set_gauge("service.queue.depth", 0)
 
     # -------------------------------------------------------------- #
 
@@ -167,7 +169,6 @@ class JobQueue:
                     f"the service has {self.max_pending} requests pending; "
                     "retry later",
                 ) from None
-            _metrics.inc("service.queue.shed")
             self._queue.put_nowait((-job.priority, next(self._arrival), job))
         _metrics.set_gauge("service.queue.depth", self.depth)
         return victim

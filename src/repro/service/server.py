@@ -18,10 +18,13 @@ Identical requests are computed once: a duplicate is served from the
 store, or folds onto the in-flight future registered when the first copy
 was admitted, so two queued jobs never share a fingerprint.
 
-The whole pipeline is instrumented through :mod:`repro.obs`
-(``service.queue.depth`` gauge, ``service.request`` spans) and keeps
-answering for faulted topologies via degraded-mode scheduling (see
-:mod:`repro.service.batch`).
+Every event is counted once, in the daemon's
+:class:`~repro.obs.metrics.MetricsRegistry` (``SchedulerService.metrics``):
+the server, queue, store, supervisor, journal and console write to it,
+and the ``status`` op, the console's ``/metrics`` page and a ``--trace``
+run's final metrics record all read it.  ``service.request`` spans go to
+the active tracer.  Faulted topologies are answered via degraded-mode
+scheduling (see :mod:`repro.service.batch`).
 
 Determinism: the computed payload for a request is byte-identical whether
 it is computed here, replayed from the store, or executed directly with
@@ -59,6 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import WorkerPool, WorkersLike
 from repro.service.batch import execute_request
 from repro.service.protocol import (
@@ -90,10 +94,26 @@ from repro.service.wal import WriteAheadLog
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
 
-#: Status counter of a failed job by its error code; every other code
-#: (the job's own exception, a crash past the re-dispatch budget) is
-#: counted as ``failed``.
-_FAILURE_COUNTERS = {"deadline": "deadline", "degraded": "rejected_degraded"}
+#: The event counters the ``status`` op reports, by section.
+_SERVED = ("computed", "store", "inflight")
+_REJECTED = ("backpressure", "admission", "protocol", "failed", "shed",
+             "degraded", "deadline")
+_STORE = ("hits", "misses", "evictions", "expirations", "corruptions")
+_SUPERVISOR = ("restarts", "redispatches", "deadline_trips", "heartbeats",
+               "heartbeat_misses")
+
+#: Every counter the daemon's components write, created at zero so that
+#: ``/metrics`` and a trace carry each one before its first event.
+_COUNTERS = (
+    "service.requests",
+    *(f"service.served.{k}" for k in _SERVED),
+    *(f"service.rejected.{k}" for k in _REJECTED),
+    *(f"service.store.{k}" for k in _STORE),
+    *(f"service.supervisor.{k}" for k in _SUPERVISOR),
+    "service.supervisor.breaker_trips",
+    "service.wal.accepts", "service.wal.dones", "service.wal.replays",
+    "service.console.requests",
+)
 
 
 class ServiceStartupError(RuntimeError):
@@ -145,6 +165,11 @@ class SchedulerService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
+        # The one counter store: a ``--trace`` run's registry when one is
+        # active here, else the daemon's own.  The loop runs under it.
+        self.metrics = _metrics.current_registry() or MetricsRegistry()
+        for name in _COUNTERS:
+            self.metrics.counter(name)
         self.store = ResultStore(ttl=self.config.store_ttl)
         self.pool = WorkerPool(self.config.workers)
         self.queue: Optional[JobQueue] = None       # built on the loop
@@ -166,14 +191,6 @@ class SchedulerService:
         self.wal: Optional[WriteAheadLog] = None     # opened on start()
         self.console = None                          # ConsoleServer on start()
         self._job_seq = 0
-        self._counters: Dict[str, int] = {
-            "requests": 0,
-            "served_computed": 0, "served_store": 0, "served_inflight": 0,
-            "rejected_backpressure": 0, "rejected_admission": 0,
-            "rejected_protocol": 0, "failed": 0,
-            "rejected_shed": 0, "rejected_degraded": 0, "deadline": 0,
-            "replayed": 0,
-        }
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -257,7 +274,6 @@ class SchedulerService:
             # a failure cannot surface as an "exception never retrieved".
             future.add_done_callback(_swallow_future_exception)
             replayed += 1
-        self._counters["replayed"] = replayed
         _metrics.inc("service.wal.replays", replayed)
         _trace.event("service.wal.replayed", count=replayed)
 
@@ -352,9 +368,12 @@ class SchedulerService:
         except Exception as exc:
             # The client gets an explicit typed error — the request is
             # settled, so the journal entry is too.  Counted here, once
-            # per job under its own code, however many clients wait.
+            # per job under its own code, however many clients wait; a
+            # crash past the re-dispatch budget or the job's own
+            # exception counts as ``failed``.
             code = getattr(exc, "code", None)
-            self._counters[_FAILURE_COUNTERS.get(code, "failed")] += 1
+            reason = code if code in ("deadline", "degraded") else "failed"
+            _metrics.inc(f"service.rejected.{reason}")
             self._wal_done(job.fingerprint)
             if not job.future.done():
                 job.future.set_exception(exc)
@@ -382,7 +401,7 @@ class SchedulerService:
                 try:
                     raw = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self._counters["rejected_protocol"] += 1
+                    _metrics.inc("service.rejected.protocol")
                     writer.write(encode_line(error_envelope(
                         "protocol", "message exceeds the frame limit")))
                     await writer.drain()
@@ -397,7 +416,7 @@ class SchedulerService:
                         stop_after = True
                     reply = await self._dispatch_op(message)
                 except ProtocolError as exc:
-                    self._counters["rejected_protocol"] += 1
+                    _metrics.inc("service.rejected.protocol")
                     reply = error_envelope("protocol", str(exc))
                 writer.write(encode_line(reply))
                 await writer.drain()
@@ -435,18 +454,18 @@ class SchedulerService:
         try:
             request = ScheduleRequest.from_dict(message.get("request"))
         except ProtocolError as exc:
-            self._counters["rejected_protocol"] += 1
+            _metrics.inc("service.rejected.protocol")
             return error_envelope("bad-request", str(exc))
         wait = message.get("wait", True)
         if not isinstance(wait, bool):
             return error_envelope("bad-request", "'wait' must be a boolean")
         fingerprint = request.fingerprint()
-        self._counters["requests"] += 1
+        _metrics.inc("service.requests")
         with _trace.span("service.request", fingerprint=fingerprint[:12],
                          method=request.method) as sp:
             stored = self.store.get(fingerprint)
             if stored is not None:
-                self._counters["served_store"] += 1
+                _metrics.inc("service.served.store")
                 sp.set(served="store")
                 return ok_envelope(result=stored, served={"from": "store"})
             pending = self._inflight.get(fingerprint)
@@ -462,14 +481,14 @@ class SchedulerService:
             try:
                 self.config.admission.check(request)
             except AdmissionError as exc:
-                self._counters["rejected_admission"] += 1
+                _metrics.inc("service.rejected.admission")
                 sp.set(served="rejected")
                 return error_envelope("rejected", str(exc))
             retry_after = self.supervisor.breaker.reject_after()
             if retry_after is not None:
                 # Degraded mode: the worker path is crash-looping; reject
                 # new work with a hint instead of queueing doomed jobs.
-                self._counters["rejected_degraded"] += 1
+                _metrics.inc("service.rejected.degraded")
                 sp.set(served="degraded")
                 return error_envelope(
                     "degraded",
@@ -482,7 +501,7 @@ class SchedulerService:
             try:
                 victim = self.queue.put_nowait(job)
             except BackpressureError as exc:
-                self._counters["rejected_backpressure"] += 1
+                _metrics.inc("service.rejected.backpressure")
                 sp.set(served="backpressure")
                 return error_envelope("backpressure", str(exc),
                                       retry_after=exc.retry_after)
@@ -491,7 +510,7 @@ class SchedulerService:
                 # typed shed error (its waiters get retry_after) and
                 # settle its journal entry — an explicit outcome, not
                 # silent loss.
-                self._counters["rejected_shed"] += 1
+                _metrics.inc("service.rejected.shed")
                 sp.set(shed=victim.fingerprint[:12])
                 self._wal_done(victim.fingerprint)
                 if not victim.future.done():
@@ -560,12 +579,12 @@ class SchedulerService:
                 # The job's own error — a supervisor deadline included,
                 # which is a TimeoutError too.
                 return self._error_reply(exc)
-            self._counters["deadline"] += 1
+            _metrics.inc("service.rejected.deadline")
             return error_envelope(
                 "deadline",
                 "no result within the service's reply bound; the request "
                 "was dropped")
-        self._counters[f"served_{source}"] += 1
+        _metrics.inc(f"service.served.{source}")
         return ok_envelope(result=result, served={"from": source})
 
     def _handle_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -585,114 +604,69 @@ class SchedulerService:
     # -------------------------------------------------------------- #
 
     def status(self) -> ServiceStatus:
-        """A deterministic-schema snapshot for the ``status`` op."""
+        """A deterministic-schema snapshot for the ``status`` op.
+
+        The one reader of the daemon's counters: every count comes from
+        :attr:`metrics`, the rest is the components' current state.
+        """
         from repro import __version__
 
-        c = self._counters
-        store_stats = self.store.stats()
+        def count(name: str) -> int:
+            return int(self.metrics.counter(name).value)
+
+        supervisor = self.supervisor.status()
+        supervisor = {
+            **{k: count(f"service.supervisor.{k}") for k in _SUPERVISOR},
+            **supervisor,
+            "breaker": {**supervisor["breaker"],
+                        "trips": count("service.supervisor.breaker_trips")},
+        }
         return ServiceStatus(
             version=__version__,
             uptime_seconds=round(time.monotonic() - self._started_at, 3),
-            requests_total=c["requests"],
-            served={
-                "computed": c["served_computed"],
-                "store": c["served_store"],
-                "inflight": c["served_inflight"],
-            },
-            rejected={
-                "backpressure": c["rejected_backpressure"],
-                "admission": c["rejected_admission"],
-                "protocol": c["rejected_protocol"],
-                "failed": c["failed"],
-                "shed": c["rejected_shed"],
-                "degraded": c["rejected_degraded"],
-                "deadline": c["deadline"],
-            },
+            requests_total=count("service.requests"),
+            served={k: count(f"service.served.{k}") for k in _SERVED},
+            rejected={k: count(f"service.rejected.{k}") for k in _REJECTED},
             queue_depth=self.queue.depth if self.queue is not None else 0,
             queue_capacity=self.config.max_pending,
             inflight=len(self._inflight),
-            store={
-                "size": store_stats.size,
-                "hits": store_stats.hits,
-                "misses": store_stats.misses,
-                "evictions": store_stats.evictions,
-                "expirations": store_stats.expirations,
-                "corruptions": store_stats.corruptions,
-            },
+            store={"size": len(self.store),
+                   **{k: count(f"service.store.{k}") for k in _STORE}},
             pool={
                 "workers": self.pool.workers,
                 "active": self.pool.active,
                 "thread_fallback": self.supervisor.thread_fallback,
             },
-            supervisor=self.supervisor.status(),
+            supervisor=supervisor,
             wal=(self.wal.status() if self.wal is not None else None),
             console=(
                 {"host": self.console.address[0],
                  "port": self.console.address[1],
-                 "requests": self.console.requests_served}
+                 "requests": count("service.console.requests")}
                 if self.console is not None
                 and self.console.address is not None else None
             ),
         )
 
     def _console_metrics(self) -> str:
-        """The ``/metrics`` body: the status snapshot as Prometheus text.
+        """The ``/metrics`` body: the daemon's registry as Prometheus text.
 
-        Built from the same counters the ``status`` op reports, merged
-        with the context's live :class:`MetricsRegistry` when one is
-        active (e.g. the daemon runs under ``--trace``).
+        Sets the point-in-time gauges first; the counters, the queue
+        depth gauge and any histograms are already in :attr:`metrics`.
         """
         from repro.obs.export import render_prometheus
-        from repro.obs.metrics import current_registry
 
-        snapshot = status_metrics_snapshot(self.status().to_dict())
-        registry = current_registry()
-        if registry is not None:
-            live = registry.snapshot()
-            snapshot["counters"].update(live.get("counters", {}))
-            snapshot["gauges"].update(live.get("gauges", {}))
-            snapshot["histograms"] = live.get("histograms", {})
-        return render_prometheus(snapshot)
-
-
-# --------------------------------------------------------------------- #
-# status -> metrics mapping
-# --------------------------------------------------------------------- #
-
-def status_metrics_snapshot(status: Dict[str, Any]) -> Dict[str, Any]:
-    """A ``status`` dict as a registry-snapshot shape for the exporter.
-
-    Monotone totals (requests, served/rejected reasons, store traffic)
-    become counters; instantaneous readings (queue depth,
-    inflight, pool occupancy, uptime) become gauges.  Keys are dotted
-    instrument names; :func:`repro.obs.export.render_prometheus` turns
-    them into legal exposition names.
-    """
-    counters: Dict[str, float] = {
-        "service.requests": status.get("requests_total", 0),
-    }
-    for reason, value in status.get("served", {}).items():
-        counters[f"service.served.{reason}"] = value
-    for reason, value in status.get("rejected", {}).items():
-        counters[f"service.rejected.{reason}"] = value
-    store = status.get("store", {})
-    for kind in ("hits", "misses", "evictions", "expirations",
-                 "corruptions"):
-        counters[f"service.store.{kind}"] = store.get(kind, 0)
-    console = status.get("console") or {}
-    if console:
-        counters["service.console.requests"] = console.get("requests", 0)
-    gauges: Dict[str, float] = {
-        "service.uptime_seconds": status.get("uptime_seconds", 0.0),
-        "service.queue_depth": status.get("queue_depth", 0),
-        "service.queue_capacity": status.get("queue_capacity", 0),
-        "service.inflight": status.get("inflight", 0),
-        "service.store.size": store.get("size", 0),
-    }
-    pool = status.get("pool", {})
-    gauges["service.pool.workers"] = pool.get("workers", 0)
-    gauges["service.pool.active"] = pool.get("active", 0)
-    return {"counters": counters, "gauges": gauges, "histograms": {}}
+        gauges = {
+            "service.uptime_seconds": time.monotonic() - self._started_at,
+            "service.queue_capacity": self.config.max_pending,
+            "service.inflight": len(self._inflight),
+            "service.store.size": len(self.store),
+            "service.pool.workers": self.pool.workers,
+            "service.pool.active": self.pool.active,
+        }
+        for name, value in gauges.items():
+            self.metrics.gauge(name).set(value)
+        return render_prometheus(self.metrics.snapshot())
 
 
 # --------------------------------------------------------------------- #
@@ -718,7 +692,8 @@ def run_service(config: Optional[ServiceConfig] = None, *,
         await service.serve_until_stopped()
 
     try:
-        asyncio.run(_main())
+        with _metrics.use_registry(service.metrics):
+            asyncio.run(_main())
     except KeyboardInterrupt:
         service.pool.terminate()
         if ready_message:
@@ -756,8 +731,11 @@ def running_service(config: Optional[ServiceConfig] = None):
         started.set()
         await service.serve_until_stopped()
 
-    thread = threading.Thread(target=lambda: asyncio.run(_main()),
-                              name="repro-service", daemon=True)
+    def _run() -> None:
+        with _metrics.use_registry(service.metrics):
+            asyncio.run(_main())
+
+    thread = threading.Thread(target=_run, name="repro-service", daemon=True)
     thread.start()
     came_up = started.wait(timeout=30.0)
     if failure:
@@ -788,7 +766,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStartupError",
     "SchedulerService",
-    "status_metrics_snapshot",
     "run_service",
     "running_service",
 ]

@@ -9,10 +9,11 @@ against *code* changes (a redeployed service starts empty) and memory
 growth.
 
 Expiry uses an injectable monotonic clock so tests can step time instead
-of sleeping; capacity eviction is LRU.  All counters are mirrored to the
-active :class:`~repro.obs.metrics.MetricsRegistry` as
-``service.store.{hits,misses,evictions,expirations,corruptions}``
-(no-ops when telemetry is off).
+of sleeping; capacity eviction is LRU.  The store keeps no tallies: each
+lookup and eviction is counted on the active
+:class:`~repro.obs.metrics.MetricsRegistry` as
+``service.store.{hits,misses,evictions,expirations,corruptions}`` (the
+daemon's registry when it serves; no-ops when none is active).
 
 Every entry carries an integrity digest — a SHA-256 over its canonical
 JSON, computed at :meth:`ResultStore.put` and re-verified at every
@@ -30,7 +31,6 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import metrics as _metrics
@@ -40,19 +40,6 @@ def _digest(value: Dict[str, Any]) -> str:
     """SHA-256 of the canonical JSON of ``value`` (sorted keys)."""
     blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class StoreStats:
-    """Counters of one :class:`ResultStore`."""
-
-    size: int
-    max_entries: int
-    hits: int
-    misses: int
-    evictions: int
-    expirations: int
-    corruptions: int = 0
 
 
 class ResultStore:
@@ -82,11 +69,6 @@ class ResultStore:
             "OrderedDict[str, Tuple[float, Dict[str, Any], str]]" = \
             OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._expirations = 0
-        self._corruptions = 0
 
     # -------------------------------------------------------------- #
 
@@ -101,26 +83,16 @@ class ResultStore:
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
-            expired = corrupt = False
             if entry is not None and self._expired(entry[0], now):
                 del self._entries[key]
-                self._expirations += 1
                 entry = None
-                expired = True
+                _metrics.inc("service.store.expirations")
             if entry is not None and _digest(entry[1]) != entry[2]:
                 del self._entries[key]
-                self._corruptions += 1
                 entry = None
-                corrupt = True
-            if entry is None:
-                self._misses += 1
-            else:
-                self._hits += 1
+                _metrics.inc("service.store.corruptions")
+            if entry is not None:
                 self._entries.move_to_end(key)
-        if expired:
-            _metrics.inc("service.store.expirations")
-        if corrupt:
-            _metrics.inc("service.store.corruptions")
         _metrics.inc(f"service.store.{'misses' if entry is None else 'hits'}")
         return entry[1] if entry is not None else None
 
@@ -131,20 +103,16 @@ class ResultStore:
         entry; :meth:`get` re-verifies it before serving.
         """
         now = self._clock()
-        evicted = 0
         digest = _digest(value)
         with self._lock:
             self._entries[key] = (now, value, digest)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-        if evicted:
-            _metrics.inc("service.store.evictions", evicted)
+                _metrics.inc("service.store.evictions")
 
     def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
+        """Drop all entries."""
         with self._lock:
             self._entries.clear()
 
@@ -163,23 +131,9 @@ class ResultStore:
             entry = self._entries.get(key)
             return entry is not None and not self._expired(entry[0], now)
 
-    def stats(self) -> StoreStats:
-        """Snapshot of size and the hit/miss/evict/expire/corrupt counters."""
-        with self._lock:
-            return StoreStats(
-                size=len(self._entries),
-                max_entries=self.max_entries,
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                expirations=self._expirations,
-                corruptions=self._corruptions,
-            )
-
     def __repr__(self) -> str:
-        s = self.stats()
-        return (f"ResultStore(size={s.size}/{s.max_entries}, ttl={self.ttl}, "
-                f"hits={s.hits}, misses={s.misses})")
+        return (f"ResultStore(size={len(self)}/{self.max_entries}, "
+                f"ttl={self.ttl})")
 
 
-__all__ = ["ResultStore", "StoreStats"]
+__all__ = ["ResultStore"]

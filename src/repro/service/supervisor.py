@@ -29,8 +29,9 @@ self-healing service needs:
   deadline), and a probe queued behind a long job would false-positive.
 
 Everything is observable: ``service.supervisor.{restarts,redispatches,
-deadline_trips,heartbeats,heartbeat_misses}`` counters plus
-``service.supervisor.*`` trace events (no-ops when telemetry is off).
+deadline_trips,heartbeats,heartbeat_misses,breaker_trips}`` counters on
+the active registry (the daemon's; the supervisor keeps no tallies of
+its own) plus ``service.supervisor.*`` trace events.
 
 The sandbox thread-fallback contract of the pre-supervisor server is
 preserved: when the platform cannot create a process pool at all, work
@@ -124,7 +125,6 @@ class CircuitBreaker:
         self._clock = clock
         self._failures = 0
         self._opened_at: Optional[float] = None
-        self._trips = 0
 
     @property
     def state(self) -> str:
@@ -163,18 +163,16 @@ class CircuitBreaker:
         was_open = self._opened_at is not None
         if was_open or self._failures >= self.config.failure_threshold:
             if not was_open:
-                self._trips += 1
                 _metrics.inc("service.supervisor.breaker_trips")
                 _trace.event("service.supervisor.breaker_opened",
                              failures=self._failures)
             self._opened_at = self._clock()
 
     def status(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot (state, consecutive failures, trips)."""
+        """A JSON-ready snapshot (state, consecutive failures)."""
         return {
             "state": self.state,
             "consecutive_failures": self._failures,
-            "trips": self._trips,
         }
 
 
@@ -225,10 +223,6 @@ class PoolSupervisor:
         self._inflight = 0
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._heartbeat_seq = 0
-        self._counters: Dict[str, int] = {
-            "restarts": 0, "redispatches": 0, "deadline_trips": 0,
-            "heartbeats": 0, "heartbeat_misses": 0,
-        }
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -277,7 +271,6 @@ class PoolSupervisor:
                 try:
                     result = await self._attempt(fn, args, self.deadline)
                 except asyncio.TimeoutError:
-                    self._counters["deadline_trips"] += 1
                     _metrics.inc("service.supervisor.deadline_trips")
                     _trace.event("service.supervisor.deadline",
                                  deadline_seconds=self.deadline)
@@ -296,7 +289,6 @@ class PoolSupervisor:
                             "job; giving up"
                         ) from exc
                     attempt += 1
-                    self._counters["redispatches"] += 1
                     _metrics.inc("service.supervisor.redispatches")
                     _trace.event("service.supervisor.redispatch",
                                  attempt=attempt, error=repr(exc))
@@ -332,7 +324,6 @@ class PoolSupervisor:
 
     async def _restart(self, reason: str) -> None:
         """Kill + reap the current workers off-loop; next use gets fresh."""
-        self._counters["restarts"] += 1
         _metrics.inc("service.supervisor.restarts")
         _trace.event("service.supervisor.restart", reason=reason)
         loop = asyncio.get_running_loop()
@@ -361,10 +352,8 @@ class PoolSupervisor:
             except Exception:
                 ok = False
             if ok:
-                self._counters["heartbeats"] += 1
                 _metrics.inc("service.supervisor.heartbeats")
             else:
-                self._counters["heartbeat_misses"] += 1
                 _metrics.inc("service.supervisor.heartbeat_misses")
                 _trace.event("service.supervisor.heartbeat_missed",
                              seq=token)
@@ -385,9 +374,8 @@ class PoolSupervisor:
         return self._inflight
 
     def status(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot: counters, breaker state, deadline."""
+        """A JSON-ready snapshot: breaker state, deadline, live jobs."""
         return {
-            **dict(self._counters),
             "breaker": self.breaker.status(),
             "deadline_seconds": self.deadline,
             "heartbeat_interval": self.heartbeat_interval,

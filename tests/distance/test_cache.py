@@ -22,6 +22,20 @@ def _ring(n=6, name="ring"):
     return Topology(n, [(i, (i + 1) % n) for i in range(n)], name=name)
 
 
+@pytest.fixture()
+def counts():
+    """``(hits, misses, evictions)`` of a cache on a fresh registry."""
+    registry = MetricsRegistry()
+
+    def _counts(name: str = "tables"):
+        counters = registry.snapshot()["counters"]
+        return tuple(counters.get(f"cache.{name}.{kind}", 0)
+                     for kind in ("hits", "misses", "evictions"))
+
+    with use_registry(registry):
+        yield _counts
+
+
 class TestFingerprint:
     def test_equal_content_equal_fingerprint(self):
         # Identity and name do not matter, only structure.
@@ -61,32 +75,32 @@ class TestRoutingCacheKey:
 
 
 class TestTableCache:
-    def test_hit_and_miss_accounting(self):
+    def test_hit_and_miss_accounting(self, counts):
         cache = TableCache(maxsize=4)
         builds = []
         for _ in range(3):
             cache.get_or_build("k", lambda: builds.append(1) or "v")
-        st = cache.stats()
         assert len(builds) == 1
-        assert (st.hits, st.misses, st.evictions) == (2, 1, 0)
+        assert counts() == (2, 1, 0)
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, counts):
         cache = TableCache(maxsize=2)
         cache.get_or_build("a", lambda: 1)
         cache.get_or_build("b", lambda: 2)
         cache.get_or_build("a", lambda: 1)   # refresh a — b is now LRU
         cache.get_or_build("c", lambda: 3)   # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.stats().evictions == 1
+        assert counts()[2] == 1
         assert len(cache) == 2
 
-    def test_clear_resets_everything(self):
+    def test_clear_resets_everything(self, counts):
         cache = TableCache(maxsize=2)
         cache.get_or_build("a", lambda: 1)
         cache.get_or_build("a", lambda: 1)
         cache.clear()
-        st = cache.stats()
-        assert (st.hits, st.misses, st.size) == (0, 0, 0)
+        assert len(cache) == 0 and "a" not in cache
+        cache.get_or_build("a", lambda: 1)       # rebuilt after the flush
+        assert counts() == (1, 2, 0)
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
@@ -108,9 +122,6 @@ class TestRegistryCounters:
         assert counters["cache.test.hits"] == 1.0
         assert counters["cache.test.misses"] == 3.0
         assert counters["cache.test.evictions"] == 1.0
-        # Registry agrees with the cache's own accounting.
-        st = cache.stats()
-        assert (st.hits, st.misses, st.evictions) == (1, 3, 1)
 
     def test_default_cache_name_is_tables(self):
         reg = MetricsRegistry()
@@ -121,16 +132,16 @@ class TestRegistryCounters:
     def test_no_registry_means_no_error(self):
         cache = TableCache(maxsize=2)
         assert cache.get_or_build("k", lambda: 41 + 1) == 42
-        assert cache.stats().misses == 1
+        assert len(cache) == 1
 
 
 class TestCachedBuilders:
-    def test_distance_table_built_once(self, routing8):
+    def test_distance_table_built_once(self, routing8, counts):
         cache = TableCache()
         t1 = cached_distance_table(routing8, cache=cache)
         t2 = cached_distance_table(routing8, cache=cache)
         assert t1 is t2
-        assert cache.stats().misses == 1 and cache.stats().hits == 1
+        assert counts()[:2] == (1, 1)
 
     def test_cached_value_matches_direct_build(self, routing8):
         cached = cached_distance_table(routing8, cache=TableCache())
@@ -140,24 +151,24 @@ class TestCachedBuilders:
             cached[i, j] == direct[i, j] for i in range(n) for j in range(n)
         )
 
-    def test_kinds_are_separate_entries(self, routing8):
+    def test_kinds_are_separate_entries(self, routing8, counts):
         cache = TableCache()
         eq = cached_distance_table(routing8, kind="equivalent", cache=cache)
         hops = cached_distance_table(routing8, kind="hops", cache=cache)
         assert eq is not hops
-        assert cache.stats().misses == 2
+        assert counts()[1] == 2
 
     def test_unknown_kind_rejected(self, routing8):
         with pytest.raises(ValueError):
             cached_distance_table(routing8, kind="euclid", cache=TableCache())
 
-    def test_topology_mutation_misses(self, topo8):
+    def test_topology_mutation_misses(self, topo8, counts):
         cache = TableCache()
         cached_distance_table(UpDownRouting(topo8), cache=cache)
         u, v = topo8.links[0]
         degraded = topo8.without_links([(u, v)])
         cached_distance_table(UpDownRouting(degraded), cache=cache)
-        assert cache.stats().misses == 2 and cache.stats().hits == 0
+        assert counts()[:2] == (0, 2)
 
     def test_equal_topologies_share_entry(self):
         cache = TableCache()

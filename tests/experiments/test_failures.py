@@ -13,6 +13,7 @@ from repro.experiments.failures import (
     FaultRow,
     FaultStudyResult,
     render_fault_study,
+    render_repair_timing,
     run_fault_study,
 )
 from repro.faults.model import FaultScenario, sample_fault_scenarios
@@ -240,6 +241,16 @@ class TestFaultStudy:
         assert "failure injection" in out
         n = len(k2_study.survivable)
         assert f"survivable failures: {n}/{len(k2_study.rows)}" in out
+
+    def test_render_is_deterministic_and_timing_is_separate(
+            self, small_setup, k2_scenarios, k2_study):
+        again = run_fault_study(small_setup, k2_scenarios, seed=1)
+        out = render_fault_study(k2_study)
+        assert render_fault_study(again) == out
+        assert "repair vs full reschedule" not in out
+        timing = render_repair_timing(k2_study)
+        assert timing.startswith("repair vs full reschedule: ") \
+            == bool(k2_study.survivable)
 
     def test_default_scenarios_are_single_links(self, small_setup):
         res = run_fault_study(small_setup, seed=1)

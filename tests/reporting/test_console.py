@@ -5,12 +5,14 @@ import json
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.export import parse_exposition, validate_exposition
 from repro.reporting.console import ConsoleServer
 
 
 def http_get(request: bytes, **providers):
-    """Start a console, send one raw request, return the raw response."""
+    """Start a console, send one raw request; the raw response and the
+    number of requests the console counted."""
 
     async def _run():
         console = ConsoleServer(**providers)
@@ -22,11 +24,14 @@ def http_get(request: bytes, **providers):
             data = await reader.read()
             writer.close()
             await writer.wait_closed()
-            return data, console.requests_served
+            return data
         finally:
             await console.stop()
 
-    return asyncio.run(_run())
+    with use_registry(MetricsRegistry()) as registry:
+        data = asyncio.run(_run())
+    counters = registry.snapshot()["counters"]
+    return data, counters.get("service.console.requests", 0)
 
 
 def parse_response(raw: bytes):

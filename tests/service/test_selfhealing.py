@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.chaos import ChaosProxy, ChaoticExecutor, FaultAction, hang_at
+from repro.obs import MetricsRegistry, use_registry
 from repro.service import (
     BackpressureError,
     Job,
@@ -184,15 +185,19 @@ class TestStoreIntegrity:
         store.put("fp", {"f_g": 1.25, "partition": [0, 1]})
         with store._lock:
             store._entries["fp"][1]["f_g"] = -999.0   # bit-flip the value
-        assert store.get("fp") is None
-        assert store.stats().corruptions == 1
-        assert store.get("fp") is None                # gone, not resurrected
+        with use_registry(MetricsRegistry()) as registry:
+            assert store.get("fp") is None
+            assert store.get("fp") is None            # gone, not resurrected
+        counters = registry.snapshot()["counters"]
+        assert counters["service.store.corruptions"] == 1
+        assert counters["service.store.misses"] == 2
 
     def test_intact_entries_round_trip_with_zero_corruptions(self):
         store = ResultStore()
         store.put("fp", {"f_g": 1.25})
-        assert store.get("fp") == {"f_g": 1.25}
-        assert store.stats().corruptions == 0
+        with use_registry(MetricsRegistry()) as registry:
+            assert store.get("fp") == {"f_g": 1.25}
+        assert registry.snapshot()["counters"] == {"service.store.hits": 1}
 
 
 class TestWalReplay:
@@ -211,7 +216,8 @@ class TestWalReplay:
         request = small_request()
         with running_service(fast_config(wal_path=wal_path)) as service:
             assert service.wal.pending() == []
-            assert service._counters["replayed"] == 0
+            replays = service.metrics.counter("service.wal.replays")
+            assert replays.value == 0
             with ServiceClient(*service.address) as client:
                 reply = client.submit(request)
         assert reply["ok"]

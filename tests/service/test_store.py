@@ -1,4 +1,4 @@
-"""Result-store tests: TTL with a stepped clock, LRU eviction, stats."""
+"""Result-store tests: TTL with a stepped clock, LRU eviction, counters."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.service.store import ResultStore
 
 
@@ -25,6 +26,19 @@ def clock():
     return FakeClock()
 
 
+@pytest.fixture()
+def counts():
+    """The ``service.store.*`` counts on a fresh active registry."""
+    registry = MetricsRegistry()
+
+    def _counts(kind: str) -> float:
+        counters = registry.snapshot()["counters"]
+        return counters.get(f"service.store.{kind}", 0)
+
+    with use_registry(registry):
+        yield _counts
+
+
 class TestBasics:
     def test_put_get_round_trip(self, clock):
         store = ResultStore(clock=clock)
@@ -32,10 +46,10 @@ class TestBasics:
         assert store.get("a") == {"v": 1}
         assert "a" in store and len(store) == 1
 
-    def test_missing_key_is_a_miss(self, clock):
+    def test_missing_key_is_a_miss(self, clock, counts):
         store = ResultStore(clock=clock)
         assert store.get("nope") is None
-        assert store.stats().misses == 1
+        assert counts("misses") == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -45,14 +59,14 @@ class TestBasics:
 
 
 class TestTTL:
-    def test_entries_expire(self, clock):
+    def test_entries_expire(self, clock, counts):
         store = ResultStore(ttl=10.0, clock=clock)
         store.put("a", {"v": 1})
         clock.advance(10.0)
         assert store.get("a") == {"v": 1}  # exactly at TTL: still alive
         clock.advance(0.1)
         assert store.get("a") is None
-        assert store.stats().expirations == 1
+        assert counts("expirations") == 1
         assert "a" not in store
 
     def test_put_refreshes_the_clock(self, clock):
@@ -71,7 +85,7 @@ class TestTTL:
 
 
 class TestLRU:
-    def test_capacity_evicts_least_recently_used(self, clock):
+    def test_capacity_evicts_least_recently_used(self, clock, counts):
         store = ResultStore(ttl=None, max_entries=2, clock=clock)
         store.put("a", {"v": 1})
         store.put("b", {"v": 2})
@@ -79,26 +93,25 @@ class TestLRU:
         store.put("c", {"v": 3})
         assert store.get("b") is None
         assert store.get("a") == {"v": 1}
-        assert store.stats().evictions == 1
+        assert counts("evictions") == 1
 
 
 class TestStats:
-    def test_hit_rate(self, clock):
+    def test_hit_rate(self, clock, counts):
         store = ResultStore(clock=clock)
         store.put("a", {})
         store.get("a")
         store.get("a")
         store.get("x")
-        s = store.stats()
-        assert (s.hits, s.misses) == (2, 1)
+        assert (counts("hits"), counts("misses")) == (2, 1)
 
-    def test_clear_keeps_counters(self, clock):
+    def test_clear_keeps_counters(self, clock, counts):
         store = ResultStore(clock=clock)
         store.put("a", {})
         store.get("a")
         store.clear()
         assert len(store) == 0
-        assert store.stats().hits == 1
+        assert counts("hits") == 1
 
 
 class TestThreadSafety:

@@ -16,6 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.parallel import WorkerPool
 from repro.service.supervisor import (
     BreakerConfig,
@@ -25,6 +26,19 @@ from repro.service.supervisor import (
     PoolSupervisor,
     WorkerCrashError,
 )
+
+
+@pytest.fixture(autouse=True)
+def registry():
+    """Each test counts on a fresh registry, as a daemon's loop does."""
+    with use_registry(MetricsRegistry()) as reg:
+        yield reg
+
+
+def count(registry, name):
+    """A supervisor counter's value (0 before its first event)."""
+    counters = registry.snapshot()["counters"]
+    return counters.get(f"service.supervisor.{name}", 0)
 
 
 class SteppedClock:
@@ -43,20 +57,20 @@ def make_breaker(threshold=3, reset=2.0):
 
 
 class TestCircuitBreaker:
-    def test_stays_closed_below_the_threshold(self):
+    def test_stays_closed_below_the_threshold(self, registry):
         breaker, _ = make_breaker(threshold=3)
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == "closed"
         assert breaker.reject_after() is None
-        assert breaker.status()["trips"] == 0
+        assert count(registry, "breaker_trips") == 0
 
-    def test_opens_at_the_threshold_with_a_retry_hint(self):
+    def test_opens_at_the_threshold_with_a_retry_hint(self, registry):
         breaker, _ = make_breaker(threshold=3, reset=2.0)
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.status()["trips"] == 1
+        assert count(registry, "breaker_trips") == 1
         hint = breaker.reject_after()
         assert hint is not None and 0 < hint <= 2.0
 
@@ -89,13 +103,12 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
 
-    def test_status_is_json_ready(self):
+    def test_status_is_json_ready(self, registry):
         breaker, _ = make_breaker(threshold=1)
         breaker.record_failure()
-        status = breaker.status()
-        assert status["state"] == "open"
-        assert status["consecutive_failures"] == 1
-        assert status["trips"] == 1
+        assert breaker.status() == {"state": "open",
+                                    "consecutive_failures": 1}
+        assert count(registry, "breaker_trips") == 1
 
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError, match="failure_threshold"):
@@ -151,23 +164,23 @@ def _echo(x):
 
 
 class TestPoolSupervisor:
-    def test_success_passes_through_and_closes_the_breaker(self):
+    def test_success_passes_through_and_closes_the_breaker(self, registry):
         pool = FakePool([("ok", None)])
         sup = PoolSupervisor(pool, deadline=5.0)
         assert run(sup.run(_echo, 42)) == 42
-        assert sup.status()["restarts"] == 0
+        assert count(registry, "restarts") == 0
         assert sup.breaker.state == "closed"
 
-    def test_crash_restarts_and_redispatches_to_success(self):
+    def test_crash_restarts_and_redispatches_to_success(self, registry):
         pool = FakePool(["broken", ("ok", 7)])
         sup = PoolSupervisor(pool, max_redispatch=2,
                              backoff_cap=0.01, rng=random.Random(1))
         assert run(sup.run(_echo, 7)) == 7
         assert pool.restarts == 1
-        status = sup.status()
-        assert status["restarts"] == 1 and status["redispatches"] == 1
+        assert count(registry, "restarts") == 1
+        assert count(registry, "redispatches") == 1
 
-    def test_crash_loop_exhausts_the_budget_typed(self):
+    def test_crash_loop_exhausts_the_budget_typed(self, registry):
         pool = FakePool(["broken", "broken", "broken"])
         sup = PoolSupervisor(pool, max_redispatch=2,
                              backoff_cap=0.01, rng=random.Random(1))
@@ -175,16 +188,16 @@ class TestPoolSupervisor:
             run(sup.run(_echo, 1))
         assert err.value.code == "crashed"
         assert pool.restarts == 3
-        assert sup.status()["redispatches"] == 2
+        assert count(registry, "redispatches") == 2
 
-    def test_hang_trips_the_deadline_and_restarts_the_pool(self):
+    def test_hang_trips_the_deadline_and_restarts_the_pool(self, registry):
         pool = FakePool(["hang"])
         sup = PoolSupervisor(pool, deadline=0.05)
         with pytest.raises(DeadlineExceededError) as err:
             run(sup.run(_echo, 1))
         assert err.value.code == "deadline"
         assert pool.restarts == 1
-        assert sup.status()["deadline_trips"] == 1
+        assert count(registry, "deadline_trips") == 1
 
     def test_open_breaker_rejects_before_touching_the_pool(self):
         pool = FakePool([])
@@ -234,7 +247,8 @@ class TestPoolSupervisor:
             run(_go())
         assert pool.restarts == 0
 
-    def test_heartbeat_probes_an_idle_pool_and_restarts_on_a_miss(self):
+    def test_heartbeat_probes_an_idle_pool_and_restarts_on_a_miss(
+            self, registry):
         # First probe echoes wrong -> miss + restart; second echoes right.
         class ProbePool(FakePool):
             def __init__(self):
@@ -258,15 +272,14 @@ class TestPoolSupervisor:
             await sup.start()
             for _ in range(200):
                 await asyncio.sleep(0.01)
-                c = sup.status()
-                if c["heartbeat_misses"] >= 1 and c["heartbeats"] >= 1:
+                if count(registry, "heartbeat_misses") >= 1 \
+                        and count(registry, "heartbeats") >= 1:
                     break
             await sup.stop()
-            return sup.status()
 
-        status = run(_go())
-        assert status["heartbeat_misses"] >= 1
-        assert status["heartbeats"] >= 1
+        run(_go())
+        assert count(registry, "heartbeat_misses") >= 1
+        assert count(registry, "heartbeats") >= 1
         assert pool.restarts >= 1
 
     def test_constructor_validates_its_knobs(self):
@@ -284,7 +297,8 @@ def _exit_hard():
 
 
 class TestRealPool:
-    def test_real_worker_crash_is_typed_and_the_pool_recovers(self):
+    def test_real_worker_crash_is_typed_and_the_pool_recovers(self,
+                                                               registry):
         pool = WorkerPool(workers=2)
         try:
             sup = PoolSupervisor(pool, max_redispatch=1,
@@ -297,6 +311,6 @@ class TestRealPool:
                 return await sup.run(_echo, 99)
 
             assert run(_go()) == 99
-            assert sup.status()["restarts"] >= 1
+            assert count(registry, "restarts") >= 1
         finally:
             pool.terminate()

@@ -302,6 +302,29 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "requests:" in out and "store:" in out and "pool:" in out
 
+    def test_status_prints_every_rejection_reason(self, tmp_path, capsys):
+        from repro.chaos import ChaoticExecutor, hang_at
+        from repro.service import ServiceConfig, running_service
+
+        executor = ChaoticExecutor(hang_at(1, delay=30.0),
+                                   str(tmp_path / "latch"))
+        config = ServiceConfig(port=0, workers=1, executor=executor,
+                               request_deadline=1.0,
+                               wal_path=tmp_path / "svc.wal")
+        with running_service(config) as svc:
+            host, port = map(str, svc.address)
+            with pytest.raises(SystemExit, match="deadline"):
+                main(["submit", "--host", host, "--port", port,
+                      "--switches", "8", "--seed", "5"])
+            capsys.readouterr()
+            assert main(["status", "--host", host, "--port", port]) == 0
+        out = capsys.readouterr().out
+        assert ("rejected:       backpressure=0 admission=0 protocol=0 "
+                "failed=0 shed=0 degraded=0 deadline=1") in out
+        assert ("supervisor:       1 restarts, 0 redispatches, "
+                "breaker closed") in out
+        assert "wal:              0 pending" in out
+
     def test_status_json_is_a_valid_service_status(self, service, capsys):
         from repro.service import ServiceStatus
 
