@@ -64,14 +64,6 @@ from repro.parallel import (
     parallel_map,
     resolve_workers,
 )
-from repro.service import (
-    ScheduleRequest,
-    ScheduleResponse,
-    SchedulerService,
-    ServiceClient,
-    ServiceConfig,
-    running_service,
-)
 from repro.core import (
     LogicalCluster,
     Workload,
@@ -79,7 +71,6 @@ from repro.core import (
     ProcessMapping,
     CommunicationAwareScheduler,
     ScheduleResult,
-    DynamicScheduler,
     clustering_coefficient,
 )
 from repro.search import (
@@ -119,12 +110,6 @@ __all__ = [
     "parallel_map",
     "resolve_workers",
     "WorkerPool",
-    "ScheduleRequest",
-    "ScheduleResponse",
-    "SchedulerService",
-    "ServiceClient",
-    "ServiceConfig",
-    "running_service",
     "CheckpointMismatch",
     "SweepCheckpoint",
     "Tracer",
@@ -145,7 +130,6 @@ __all__ = [
     "ProcessMapping",
     "CommunicationAwareScheduler",
     "ScheduleResult",
-    "DynamicScheduler",
     "clustering_coefficient",
     "TabuSearch",
     "SimulatedAnnealing",

@@ -23,7 +23,6 @@ from repro.core.quality import (
     weighted_mapping_cost,
 )
 from repro.core.scheduler import CommunicationAwareScheduler, ScheduleResult
-from repro.core.dynamic import DynamicScheduler, Placement
 
 __all__ = [
     "LogicalCluster",
@@ -37,6 +36,4 @@ __all__ = [
     "weighted_mapping_cost",
     "CommunicationAwareScheduler",
     "ScheduleResult",
-    "DynamicScheduler",
-    "Placement",
 ]

@@ -111,7 +111,9 @@ class SearchMethod(ABC):
     Because stream derivation and merging are independent of *where* each
     start ran, parallel results are bit-identical to serial ones.
 
-    Exhaustive enumeration overrides :meth:`run` directly instead.
+    :meth:`_run_starts` is the seam between the two: Tabu overrides it to
+    run small serial searches' starts in lockstep.  Exhaustive enumeration
+    overrides :meth:`run` directly instead.
     """
 
     name: str = "search"
@@ -140,21 +142,31 @@ class SearchMethod(ABC):
         """
         with _trace.span(f"search.{self.name}",
                          restarts=self.restarts) as sp:
-            if self.restarts <= 1:
-                result = self._run_single(objective, as_rng(seed), initial)
-                self._emit_restart_events([result])
-            else:
-                rngs = spawn_rngs(seed, self.restarts)
-                jobs = [(self, objective, i, rng, initial)
-                        for i, rng in enumerate(rngs)]
-                starts = parallel_map(_execute_start, jobs,
-                                      workers=self.workers)
-                self._emit_restart_events(starts)
-                result = self._merge_starts(starts)
+            rngs = ([as_rng(seed)] if self.restarts <= 1
+                    else spawn_rngs(seed, self.restarts))
+            starts = self._run_starts(objective, rngs, initial)
+            self._emit_restart_events(starts)
+            result = (starts[0] if len(starts) == 1
+                      else self._merge_starts(starts))
             sp.set(best_value=result.best_value,
                    iterations=result.iterations,
                    evaluations=result.evaluations)
             return result
+
+    def _run_starts(self, objective: SimilarityObjective,
+                    rngs: Sequence[np.random.Generator],
+                    initial: Optional[Partition]) -> List[SearchResult]:
+        """Run one start per stream, in start order (the multi-start seam).
+
+        A single start runs in this process; several go through
+        :func:`~repro.parallel.parallel_map`, one job per start.  Only the
+        first start receives ``initial``.
+        """
+        if len(rngs) == 1:
+            return [self._run_single(objective, rngs[0], initial)]
+        jobs = [(self, objective, i, rng, initial)
+                for i, rng in enumerate(rngs)]
+        return parallel_map(_execute_start, jobs, workers=self.workers)
 
     _RESTART_META_KEYS = ("accepted", "uphill", "tabu_masked",
                           "local_min_visits")

@@ -44,6 +44,8 @@ programmatically::
             reply = client.submit(request)
 """
 
+from importlib import import_module
+
 from repro.service.batch import execute_request
 from repro.service.client import IDEMPOTENT_OPS, ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -60,34 +62,34 @@ from repro.service.protocol import (
     decode_line,
     encode_line,
 )
-from repro.service.queue import (
-    AdmissionError,
-    AdmissionPolicy,
-    BackpressureError,
-    Job,
-    JobQueue,
-    ShedError,
-)
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    SchedulerService,
-    ServiceConfig,
-    ServiceStartupError,
-    run_service,
-    running_service,
-)
 from repro.service.store import ResultStore
-from repro.service.supervisor import (
-    BreakerConfig,
-    CircuitBreaker,
-    CircuitOpenError,
-    DeadlineExceededError,
-    PoolSupervisor,
-    SupervisorError,
-    WorkerCrashError,
-)
 from repro.service.wal import WalError, WriteAheadLog
+
+# The daemon's asyncio modules load on first use, so a process that only
+# encodes requests, executes them or talks to a daemon never imports
+# asyncio (or ssl, which asyncio drags in).
+_LAZY = {
+    "queue": ("AdmissionError", "AdmissionPolicy", "BackpressureError",
+              "Job", "JobQueue", "ShedError"),
+    "server": ("DEFAULT_HOST", "DEFAULT_PORT", "SchedulerService",
+               "ServiceConfig", "ServiceStartupError", "run_service",
+               "running_service"),
+    "supervisor": ("BreakerConfig", "CircuitBreaker", "CircuitOpenError",
+                   "DeadlineExceededError", "PoolSupervisor",
+                   "SupervisorError", "WorkerCrashError"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items()
+                for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AdmissionError",

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.search.tabu as tabu_module
 from repro.core.mapping import Partition, random_partition
 from repro.distance.table import build_distance_table
+from repro.obs.sinks import MemorySink
+from repro.obs.trace import Tracer, use_tracer
 from repro.routing.updown import UpDownRouting
 from repro.search.base import SimilarityObjective
 from repro.search.exhaustive import ExhaustiveSearch
@@ -179,6 +182,7 @@ class TestVectorisedNeighbourhood:
     def test_search_identical_to_scalar_oracle(self, monkeypatch):
         """The one-expression swap pass leaves a full multi-start search,
         including its counters, exactly as the scalar pass did."""
+        monkeypatch.setattr(tabu_module, "LOCKSTEP_MAX_SWITCHES", 0)
         topo = random_irregular_topology(64, seed=derive_seed(42, "schedule", 0))
         objective = SimilarityObjective(build_distance_table(UpDownRouting(topo)),
                                         [8] * 8)
@@ -191,6 +195,119 @@ class TestVectorisedNeighbourhood:
         assert fast.evaluations == slow.evaluations
         assert fast.iterations == slow.iterations
         assert fast.meta == slow.meta
+
+
+def _traced_run(search, objective, seed, initial=None):
+    """A search's result and the attributes of its restart events."""
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
+        result = search.run(objective, seed=seed, initial=initial)
+    return result, [e["attrs"] for e in sink.by_name("search.restart")]
+
+
+def _table_objective(n, clusters=4):
+    topo = random_irregular_topology(n, seed=derive_seed(11, "lockstep", n))
+    return SimilarityObjective(build_distance_table(UpDownRouting(topo)),
+                               [n // clusters] * clusters)
+
+
+class TestLockstep:
+    """Serial restarts run in lockstep up to ``LOCKSTEP_MAX_SWITCHES``.
+
+    The oracle is the per-restart path (``_run_single`` per start), forced
+    by setting the cut-over to zero: every result field, the meta with its
+    local-minimum keys, and the restart events must be equal, bit for bit.
+    """
+
+    def assert_lockstep_matches(self, monkeypatch, make_search, objective,
+                                seed, initial=None):
+        assert objective.num_switches <= tabu_module.LOCKSTEP_MAX_SWITCHES
+        got, got_events = _traced_run(make_search(), objective, seed, initial)
+        monkeypatch.setattr(tabu_module, "LOCKSTEP_MAX_SWITCHES", 0)
+        want, want_events = _traced_run(make_search(), objective, seed,
+                                        initial)
+        monkeypatch.undo()
+        assert got.best_partition.labels.tolist() == \
+            want.best_partition.labels.tolist()
+        assert got.best_value == want.best_value
+        assert got.trace == want.trace
+        assert [type(v) for v in got.trace] == [type(v) for v in want.trace]
+        assert got.restart_indices == want.restart_indices
+        assert (got.iterations, got.evaluations) == \
+            (want.iterations, want.evaluations)
+        assert got.meta == want.meta
+        assert got.meta["local_min_keys"] == want.meta["local_min_keys"]
+        assert got_events == want_events
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    def test_matches_per_restart_path(self, monkeypatch, n, restarts):
+        objective = _table_objective(n)
+        for seed in range(3):
+            self.assert_lockstep_matches(
+                monkeypatch, lambda: TabuSearch(restarts=restarts),
+                objective, seed)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tenure": 0},
+        {"aspiration": False},
+        {"local_min_repeats": 1},
+        {"max_iterations": 1},
+        {"tenure": 50, "max_iterations": 30},
+    ])
+    def test_matches_per_restart_path_for_each_knob(self, monkeypatch,
+                                                    kwargs):
+        objective = _table_objective(16)
+        for seed in range(3):
+            self.assert_lockstep_matches(
+                monkeypatch, lambda: TabuSearch(**kwargs), objective, seed)
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_warm_start_goes_to_the_first_start_only(self, monkeypatch,
+                                                     restarts):
+        objective = _table_objective(16)
+        initial = random_partition([4] * 4, 16, seed=99)
+        self.assert_lockstep_matches(
+            monkeypatch, lambda: TabuSearch(restarts=restarts), objective,
+            seed=4, initial=initial)
+
+    def test_wide_searches_run_in_groups(self, monkeypatch):
+        monkeypatch.setattr(tabu_module, "LOCKSTEP_MAX_STARTS", 3)
+        initial = random_partition([4] * 4, 16, seed=99)
+        self.assert_lockstep_matches(
+            monkeypatch, lambda: TabuSearch(restarts=10),
+            _table_objective(16), seed=5, initial=initial)
+
+    def test_matches_at_the_cut_over(self, monkeypatch):
+        n = tabu_module.LOCKSTEP_MAX_SWITCHES
+        self.assert_lockstep_matches(monkeypatch, TabuSearch,
+                                     _table_objective(n, clusters=n // 8), 1)
+
+    @pytest.mark.parametrize("n, clusters", [(16, 4), (24, 4), (32, 4)])
+    def test_matches_on_a_noisy_table(self, monkeypatch, n, clusters):
+        """``TestTableNoise``'s perturbed tables, whose exact ties the
+        ``_EPS`` rule must break the same way on both paths."""
+        topo = random_irregular_topology(n, seed=derive_seed(7, "noise", n))
+        table = build_distance_table(UpDownRouting(topo)).values
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            noise = np.triu(rng.standard_normal((n, n)), 1) * 1e-14
+            objective = SimilarityObjective(table * (1.0 + noise + noise.T),
+                                            [n // clusters] * clusters)
+            self.assert_lockstep_matches(monkeypatch, TabuSearch, objective,
+                                         3)
+
+    def test_large_or_pooled_searches_keep_one_job_per_start(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(TabuSearch, "_run_lockstep",
+                            lambda *args: calls.append(args))
+        small = _table_objective(16)
+        TabuSearch(restarts=2, max_iterations=2, workers=2).run(small, seed=0)
+        big = tabu_module.LOCKSTEP_MAX_SWITCHES + 8
+        TabuSearch(restarts=2, max_iterations=2).run(
+            _table_objective(big, clusters=big // 8), seed=0)
+        assert calls == []
 
 
 class TestTableNoise:
